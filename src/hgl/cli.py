@@ -122,7 +122,9 @@ def cmd_analyze(args) -> int:
     payload = series_to_json_dict(series)
     payload["config"] = _config_dict(args, ("preset", "input", "dim", "max_degree",
                                             "quad_order"))
-    _emit(json.dumps(payload, indent=1) + "\n", args.out)
+    # no walk for null here: a non-finite coefficient (a corrupt --input file)
+    # fails the strict dump and exits as an input error
+    _emit(json.dumps(payload, indent=1, allow_nan=False) + "\n", args.out)
     return EXIT_OK
 
 
@@ -137,16 +139,26 @@ def cmd_classify(args) -> int:
     if args.sigma is not None:
         payload["cross_validation"] = cross_validate(series, args.sigma,
                                                      args.n_max).to_json_dict()
-    _emit(json.dumps(payload, indent=1, default=_json_default) + "\n", args.out)
+    _emit(_report_json(payload), args.out)
     return EXIT_OK
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
+def _strict(obj):
+    """Plain JSON values: numpy types unwrapped, non-finite floats as None."""
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return _strict(obj.tolist())
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
+def _report_json(payload: dict) -> str:
+    """Strict JSON report text: non-finite floats are written as null."""
+    return json.dumps(_strict(payload), indent=1, allow_nan=False) + "\n"
 
 
 def cmd_envelope(args) -> int:
@@ -182,7 +194,7 @@ def cmd_envelope(args) -> int:
     if args.format == "json":
         payload = {"config": cfg, "skipped": skipped,
                    "rows": [{"order": k, "log_envelope": v} for k, v in rows]}
-        _emit(json.dumps(payload, indent=1) + "\n", args.out)
+        _emit(_report_json(payload), args.out)
     else:
         lines = [f"# config: {json.dumps(cfg, sort_keys=True)}", header]
         lines += [f"{k},{v!r}" for k, v in rows]
@@ -211,7 +223,7 @@ def cmd_norms(args) -> int:
         payload = {"config": cfg,
                    "values": [{"N": n, "log_norm": (v.log_magnitude if v.sign else None),
                                "norm_kind": seq.norm_kind} for n, v in seq.values]}
-        _emit(json.dumps(payload, indent=1) + "\n", args.out)
+        _emit(_report_json(payload), args.out)
         return EXIT_OK
     if args.out:
         save_norm_sequence_csv(seq, args.out,
@@ -247,7 +259,7 @@ def cmd_verify_lemmas(args) -> int:
     payload = {"config": cfg,
                "all_passed": all_passed,
                "suites": [r.to_json_dict() for r in reports]}
-    text = json.dumps(payload, indent=1, default=_json_default) + "\n"
+    text = _report_json(payload)
     if args.out:
         atomic_write_text(args.out, text)
     else:

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-__all__ = ["hermite_eval", "hermite_eval_multi", "hermite_matrix"]
+__all__ = ["hermite_eval", "hermite_eval_multi", "hermite_matrix", "hermite_derivative_rows"]
 
 _LOG_PI_QUARTER = 0.25 * math.log(math.pi)
 _RESCALE_AT = 1e120
@@ -88,6 +88,26 @@ def hermite_matrix(kmax: int, x) -> np.ndarray:
             u_prev[big] /= s
         out[k + 1] = u * np.exp(log_scale)
     return out
+
+
+def hermite_derivative_rows(kmax: int, x):
+    """(h_k, h_k', h_k'') for k = 0..kmax at the points x, each (kmax+1, len(x)).
+
+    Exact, from one recurrence pass to kmax + 1:
+
+        h_k'  = sqrt(k/2) h_{k-1} - sqrt((k+1)/2) h_{k+1}
+        h_k'' = (x^2 - 2k - 1) h_k
+
+    (the ladder relations and the eigen-equation of the oscillator).
+    """
+    full = hermite_matrix(kmax + 1, x)
+    pts = np.atleast_1d(np.asarray(x, dtype=float))
+    k = np.arange(kmax + 1, dtype=float)[:, None]
+    vals = full[:-1]
+    first = -np.sqrt((k + 1.0) / 2.0) * full[1:]
+    first[1:] += np.sqrt(k[1:] / 2.0) * full[:-2]
+    second = (pts * pts - 2.0 * k - 1.0) * vals
+    return vals, first, second
 
 
 def log_abs_hermite_sumsq(n: int, x) -> np.ndarray:

@@ -17,15 +17,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import logsumexp
 
 from .logscalar import LogScalar
 from .classify import EnvelopeFit, fit_radius_from_norms
+from .hermite import hermite_matrix
 from .quadrature import gauss_hermite_rule
-from .series import HermiteSeries, synthesize_many
-from .spectral import NormSequence, apply_H, lp_norm, turning_point_extent
+from .series import HermiteSeries
+from .spectral import (GridSpec, NormSequence, _as_log_scalar, _dense_coefficients,
+                       _grid_log_norms, _powered_blocks, turning_point_extent)
 
 __all__ = ["Weight", "StftGrid", "StftField", "MixedNormParams", "stft",
            "modulation_norm", "norm_sequence_mod", "norm_equiv_harness",
@@ -167,37 +170,63 @@ class MixedNormParams:
         return f"mod:{fmt(self.p)},{fmt(self.q)},{self.weight.label()}"
 
 
-def _stft_1d_columns(series: HermiteSeries, grid: StftGrid) -> np.ndarray:
-    """V(x, xi) for a 1-d series on the full grid, shape (nx, nxi)."""
-    x = grid.x_axis()
-    xi = grid.xi_axis()
-    w = grid.window_width
-    a = 0.5 * (1.0 + 1.0 / w**2)
-    M = series.max_degree
-    n = grid.quad_order or max(96, M + 48 + int(math.ceil(grid.freq_extent**2 / (2.0 * a))))
-    rule = gauss_hermite_rule(n)
-    u = rule.nodes
-    wmod = rule.modified_weights
-    mu = x / (1.0 + w**2)                      # center of the combined Gaussian
-    T = mu[:, None] + u[None, :] / math.sqrt(a)   # (nx, nq)
-    fvals = synthesize_many(series, T.ravel()).reshape(T.shape)
-    win = (math.pi * w**2) ** -0.25 * np.exp(-((T - x[:, None]) ** 2) / (2.0 * w**2))
-    A = fvals * win * wmod[None, :]
-    kernel = np.exp(-1j * np.outer(u / math.sqrt(a), xi))   # (nq, nxi)
-    phase = np.exp(-1j * np.outer(mu, xi))                  # (nx, nxi)
-    return (A @ kernel) * phase / math.sqrt(a)
+class _StftAxisMap:
+    """Linear map from 1-d Hermite coefficients to the 1-d STFT on a grid.
 
-
-def stft(series: HermiteSeries, grid: StftGrid | None = None) -> StftField:
-    """Short-time Fourier transform with Gaussian window, d <= 2.
-
-    For d = 2 the transform is assembled from per-axis transforms of the
-    Hermite basis (the window and basis factorize), which keeps the cost at
-    d times the 1-d work plus the final combination.
+    V(x, xi) = integral f(t) window(t - x) exp(-i t xi) dt is evaluated by a
+    Gauss-Hermite rule centred on the combined Gaussian of each x.  The real
+    basis rows h_k at those shifted nodes are built once, so transforming a
+    coefficient vector is a contraction plus one matrix product.
     """
+
+    def __init__(self, series: HermiteSeries, grid: StftGrid):
+        kmax = max(series.degrees_per_axis())
+        x = grid.x_axis()
+        xi = grid.xi_axis()
+        w = grid.window_width
+        a = 0.5 * (1.0 + 1.0 / w**2)
+        n = grid.quad_order or max(96, series.max_degree + 48
+                                   + int(math.ceil(grid.freq_extent**2 / (2.0 * a))))
+        rule = gauss_hermite_rule(n)
+        u = rule.nodes
+        mu = x / (1.0 + w**2)                      # center of the combined Gaussian
+        T = mu[:, None] + u[None, :] / math.sqrt(a)   # (nx, nq)
+        win = (math.pi * w**2) ** -0.25 * np.exp(-((T - x[:, None]) ** 2) / (2.0 * w**2))
+        self.rows = hermite_matrix(kmax, T.ravel()).reshape((kmax + 1,) + T.shape)
+        self.taper = win * rule.modified_weights[None, :]
+        self.kernel = np.exp(-1j * np.outer(u / math.sqrt(a), xi))   # (nq, nxi)
+        self.phase = np.exp(-1j * np.outer(mu, xi)) / math.sqrt(a)   # (nx, nxi)
+
+    def apply(self, coeffs: np.ndarray) -> np.ndarray:
+        """Transforms of coefficient vectors (..., K) -> fields (..., nx, nxi)."""
+        rows = self.rows[:coeffs.shape[-1]]
+        fvals = np.tensordot(coeffs.real, rows, axes=1)
+        if coeffs.imag.any():
+            fvals = fvals + 1j * np.tensordot(coeffs.imag, rows, axes=1)
+        return ((fvals * self.taper) @ self.kernel) * self.phase
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """Transforms of h_0..h_kmax, shape (K, nx, nxi)."""
+        return self.apply(np.eye(self.rows.shape[0]))
+
+    def field(self, dense: np.ndarray) -> np.ndarray:
+        """STFT values of dense coefficients, axes (x_1..x_d, xi_1..xi_d).
+
+        For d = 2 the window and basis factorize, so the field is the
+        per-axis basis fields contracted with the coefficient matrix, one
+        axis at a time.
+        """
+        if dense.ndim == 1:
+            return self.apply(dense)
+        half = np.tensordot(dense, self.basis[:dense.shape[0]], axes=([0], [0]))
+        vals = np.tensordot(half, self.basis[:dense.shape[1]], axes=([0], [0]))
+        return vals.transpose(0, 2, 1, 3)     # (x1, xi1, x2, xi2) -> (x1, x2, xi1, xi2)
+
+
+def _checked_axes(series: HermiteSeries, grid: StftGrid):
     if series.dimension > 2:
         raise ValueError("stft is limited to dimension <= 2")
-    grid = grid or StftGrid.default_for(series)
     grid.validate_for(series)
     x = grid.x_axis()
     xi = grid.xi_axis()
@@ -205,19 +234,19 @@ def stft(series: HermiteSeries, grid: StftGrid | None = None) -> StftField:
     if (x.size * xi.size) ** d > _MAX_FIELD_ENTRIES:
         raise StftGridError(
             f"field would hold {(x.size * xi.size) ** d} entries; coarsen the grid")
-    if d == 1:
-        vals = _stft_1d_columns(series, grid)
-        return StftField(1, vals, x, xi, grid)
-    degs = series.degrees_per_axis()
-    basis = {}
-    for k in range(max(degs) + 1):
-        unit = HermiteSeries(dimension=1, max_degree=k, coefficients={(k,): 1.0})
-        basis[k] = _stft_1d_columns(unit, grid)
-    vals = np.zeros((x.size, x.size, xi.size, xi.size), dtype=complex)
-    for alpha, c in series.items():
-        b1, b2 = basis[alpha[0]], basis[alpha[1]]
-        vals += c * np.einsum("ac,bd->abcd", b1, b2)
-    return StftField(2, vals, x, xi, grid)
+    return x, xi
+
+
+def stft(series: HermiteSeries, grid: StftGrid | None = None) -> StftField:
+    """Short-time Fourier transform with Gaussian window, d <= 2.
+
+    The one-power case of ``norm_sequence_mod``: the per-axis map of the
+    grid applied to the dense coefficients.
+    """
+    grid = grid or StftGrid.default_for(series)
+    x, xi = _checked_axes(series, grid)
+    smap = _StftAxisMap(series, grid)
+    return StftField(series.dimension, smap.field(_dense_coefficients(series)), x, xi, grid)
 
 
 def modulation_norm(fld: StftField, params: MixedNormParams) -> LogScalar:
@@ -256,18 +285,38 @@ def modulation_norm(fld: StftField, params: MixedNormParams) -> LogScalar:
     return LogScalar.from_log(out)
 
 
+def _mod_log_norms(series: HermiteSeries, powers, params_list, grid: StftGrid) -> np.ndarray:
+    """log modulation norms of H^N f, shape (len(params_list), len(powers)).
+
+    The per-axis STFT map is built once; each power transforms its
+    log-scaled coefficients (see ``spectral._powered_blocks``) and adds the
+    scale back in log space, so any power is admitted.
+    """
+    x, xi = _checked_axes(series, grid)
+    smap = _StftAxisMap(series, grid)
+    out = np.empty((len(params_list), len(powers)))
+    for j, (top, block) in enumerate(_powered_blocks(series, powers)):
+        fld = StftField(series.dimension, smap.field(block), x, xi, grid)
+        for i, params in enumerate(params_list):
+            nrm = modulation_norm(fld, params)
+            out[i, j] = top + nrm.log_magnitude if nrm.sign else -math.inf
+    return out
+
+
 def norm_sequence_mod(series: HermiteSeries, n_max: int, params: MixedNormParams,
                       grid: StftGrid | None = None, sigma: float = 1.0,
                       n_min: int = 0) -> NormSequence:
-    """Modulation norms of H^N f for N = n_min..n_max (desk scale: d = 1)."""
+    """Modulation norms of H^N f for N = n_min..n_max, d <= 2.
+
+    One STFT map per sequence; each power costs a contraction and one
+    matrix product, and large N cannot overflow.
+    """
     grid = grid or StftGrid.default_for(series)
-    vals = []
-    for N in range(n_min, n_max + 1):
-        fld = stft(apply_H(series, N), grid)
-        vals.append((N, modulation_norm(fld, params)))
+    powers = range(n_min, n_max + 1)
+    logs = _mod_log_norms(series, powers, [params], grid)[0]
     return NormSequence(dimension=series.dimension, sigma=sigma,
-                        values=tuple(vals), norm_kind=params.label(),
-                        max_degree=series.max_degree)
+                        values=tuple((N, _as_log_scalar(v)) for N, v in zip(powers, logs)),
+                        norm_kind=params.label(), max_degree=series.max_degree)
 
 
 @dataclass(frozen=True)
@@ -324,20 +373,28 @@ def norm_equiv_harness(series: HermiteSeries, sigma: float, p0: float,
     Fits the radius sequence from both norm families, requires flavor
     agreement, reports the per-power radius gap with window stability, and
     fits the embedding constants relating the (p0, q1)/(p0, q2) modulation
-    norms to L^{p0} with q1 = min(p0, p0'), q2 = max(p0, p0').
+    norms to L^{p0} with q1 = min(p0, p0'), q2 = max(p0, p0') over N <= 6.
+    Both families come from one basis map each (the L^{p0} grid of
+    ``norm_sequence`` and the STFT map of ``norm_sequence_mod``), and all
+    three modulation norms of a power share its transform.
     """
     if series.dimension != 1:
         raise ValueError("the harness runs at desk scale: dimension 1 only")
-    if n_max > 25:
-        raise ValueError("keep n_max <= 25: each power costs a full transform")
     grid = grid or StftGrid.default_for(series)
-    lp_vals = []
-    for N in range(0, n_max + 1):
-        lp_vals.append((N, lp_norm(apply_H(series, N), p0)))
-    lp_seq = NormSequence(dimension=1, sigma=sigma, values=tuple(lp_vals),
+    powers = range(0, n_max + 1)
+    lp_logs = _grid_log_norms(series, powers, p0, GridSpec())
+    lp_seq = NormSequence(dimension=1, sigma=sigma,
+                          values=tuple((N, _as_log_scalar(v)) for N, v in zip(powers, lp_logs)),
                           norm_kind=("linf" if p0 == math.inf else f"lp:{p0:g}"),
                           max_degree=series.max_degree)
-    mod_seq = norm_sequence_mod(series, n_max, params, grid, sigma, n_min=n0)
+    q1, q2 = min(p0, _conjugate(p0)), max(p0, _conjugate(p0))
+    w_const = MixedNormParams(p0, q1, Weight())
+    w_const2 = MixedNormParams(p0, q2, Weight())
+    mod_logs, m_q1, m_q2 = _mod_log_norms(series, powers, [params, w_const, w_const2], grid)
+    mod_seq = NormSequence(dimension=1, sigma=sigma,
+                           values=tuple((N, _as_log_scalar(mod_logs[N]))
+                                        for N in range(n0, n_max + 1)),
+                           norm_kind=params.label(), max_degree=series.max_degree)
 
     lp_fit = fit_radius_from_norms(lp_seq, sigma)
     mod_fit = fit_radius_from_norms(mod_seq, sigma)
@@ -355,19 +412,10 @@ def norm_equiv_harness(series: HermiteSeries, sigma: float, p0: float,
     gap_stable = (math.isfinite(gap_window)
                   and abs(gap_window - gap_shifted) <= 0.25 * max(gap_window, gap_shifted, 1e-3))
 
-    q1, q2 = min(p0, _conjugate(p0)), max(p0, _conjugate(p0))
-    w_const = MixedNormParams(p0, q1, Weight())
-    w_const2 = MixedNormParams(p0, q2, Weight())
-    embed_lower = -math.inf
-    embed_upper = -math.inf
-    for N in range(0, min(n_max, 6) + 1):
-        g = apply_H(series, N)
-        fld = stft(g, grid)
-        log_lp = lp_norm(g, p0).log_magnitude
-        log_m_q1 = modulation_norm(fld, w_const).log_magnitude
-        log_m_q2 = modulation_norm(fld, w_const2).log_magnitude
-        embed_upper = max(embed_upper, log_m_q2 - log_lp)   # ||f||_{M^{p0,q2}} <= C ||f||_{Lp0}
-        embed_lower = max(embed_lower, log_lp - log_m_q1)   # ||f||_{Lp0} <= C' ||f||_{M^{p0,q1}}
+    embed = slice(0, min(n_max, 6) + 1)
+    # ||f||_{M^{p0,q2}} <= C ||f||_{Lp0} and ||f||_{Lp0} <= C' ||f||_{M^{p0,q1}}
+    embed_upper = float(np.max(m_q2[embed] - lp_logs[embed]))
+    embed_lower = float(np.max(lp_logs[embed] - m_q1[embed]))
     return NormEquivReport(
         p0=p0, params_label=params.label(), n0=n0,
         lp_fit=lp_fit, mod_fit=mod_fit,

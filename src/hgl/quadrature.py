@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .hermite import log_abs_hermite_sumsq
+from .hermite import _RESCALE_AT, log_abs_hermite_sumsq
 
 __all__ = ["QuadratureRule", "gauss_hermite_rule", "QuadratureError"]
 
@@ -110,7 +110,7 @@ def _recurrence_pair(n: int, x: np.ndarray):
     u = np.ones_like(x)
     for k in range(n):
         u_prev, u = u, x * math.sqrt(2.0 / (k + 1)) * u - math.sqrt(k / (k + 1)) * u_prev
-        big = np.abs(u) > 1e120
+        big = np.abs(u) > _RESCALE_AT
         if big.any():
             s = np.abs(u[big])
             u[big] /= s

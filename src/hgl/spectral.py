@@ -2,8 +2,9 @@
 
 The oscillator is diagonal in the Hermite basis with eigenvalue 2|alpha| + d,
 so powers act coefficientwise.  L2 norms are Parseval sums accumulated in the
-log domain; L^p and sup norms are evaluated numerically from the synthesized
-function.
+log domain.  L^p and sup norms of H^N f are norms of Phi diag(lambda^N) c on a
+grid: the basis rows Phi are built once per grid and each power is a
+log-scaled contraction with them.
 """
 
 from __future__ import annotations
@@ -12,11 +13,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import logsumexp
 
+from .hermite import hermite_derivative_rows, hermite_matrix
 from .logscalar import LogScalar
-from .series import HermiteSeries, MultiIndex, synthesize_many
+from .series import HermiteSeries, MultiIndex
 from .quadrature import gauss_hermite_rule
 
 __all__ = ["NormSequence", "GridSpec", "GridError", "apply_H", "l2_norm", "lp_norm",
@@ -137,20 +138,87 @@ def _l2_log_norms_powered(series: HermiteSeries, powers: np.ndarray) -> np.ndarr
     return 0.5 * logsumexp(mat, axis=1)
 
 
+def _dense_coefficients(series: HermiteSeries) -> np.ndarray:
+    """Coefficients as a dense complex array of shape (deg_i + 1 for each axis)."""
+    shape = tuple(k + 1 for k in series.degrees_per_axis())
+    dense = np.zeros(shape, dtype=complex)
+    if series.coefficients:
+        keys = np.array(list(series.coefficients), dtype=int).reshape(-1, series.dimension)
+        dense[tuple(keys.T)] = np.fromiter(series.coefficients.values(), dtype=complex,
+                                           count=keys.shape[0])
+    return dense
+
+
+def _powered_blocks(series: HermiteSeries, powers):
+    """Yield (s_N, block) per N in ``powers``: the dense coefficients of H^N f
+    are exp(s_N) * block.
+
+    s_N = max log|c_alpha (2|alpha|+d)^N|, so every |block entry| <= 1 and the
+    float products that follow cannot overflow for any N.  An all-zero series
+    yields s_N = 0 and a zero block.
+    """
+    dense = _dense_coefficients(series)
+    log_lam = np.log(2.0 * np.indices(dense.shape).sum(axis=0) + series.dimension)
+    mag = np.abs(dense)
+    nonzero = mag > 0
+    with np.errstate(divide="ignore"):
+        log_abs = np.log(mag)
+    unit = np.divide(dense, mag, out=np.zeros_like(dense), where=nonzero)
+    for n in powers:
+        if not nonzero.any():
+            yield 0.0, dense
+            continue
+        log_mag = log_abs + n * log_lam
+        top = float(np.max(log_mag))
+        yield top, unit * np.exp(log_mag - top)
+
+
+def _synthesize_dense(block: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_alpha block[alpha] prod_i rows[alpha_i, x_i] on the tensor grid.
+
+    ``rows`` is the real (K, npts) basis matrix of one axis, shared by all
+    axes; the real and imaginary parts are contracted separately (one
+    ``tensordot`` per axis) so the basis is never upcast to complex.
+    """
+    def contract(part):
+        for _ in range(part.ndim):
+            part = np.tensordot(part, rows[:part.shape[0]], axes=([0], [0]))
+        return part
+
+    re = contract(block.real)
+    if not block.imag.any():
+        return re
+    return re + 1j * contract(block.imag)
+
+
 def lp_norm(series: HermiteSeries, p: float, grid: GridSpec | None = None) -> LogScalar:
     """Numerical L^p norm of the synthesized series, p in [1, inf].
 
-    Finite p integrates |f|^p by Gauss-Hermite quadrature with the exp(+x^2)
+    The one-power case of the grid routes of ``norm_sequence``.  Finite p
+    integrates |f|^p by Gauss-Hermite quadrature with the exp(+x^2)
     reweighting folded in; p = inf scans a uniform grid over the classically
-    allowed box and polishes the peak.  Accuracy target is 1e-6 relative for
+    allowed box and polishes every near-top local maximum by Newton steps on
+    |f|^2 with exact derivative rows.  Accuracy target is 1e-6 relative for
     smooth presets with M <= 50 in dimensions 1 and 2; integrands with zeros
     converge more slowly for odd p because |f|^p loses smoothness there.
     """
-    grid = grid or GridSpec()
-    if not series.coefficients or series.is_zero:
-        return LogScalar.zero()
+    return _as_log_scalar(_grid_log_norms(series, [0], p, grid or GridSpec())[0])
+
+
+def _as_log_scalar(log: float) -> LogScalar:
+    return LogScalar.from_log(log) if log > -math.inf else LogScalar.zero()
+
+
+def _grid_log_norms(series: HermiteSeries, powers, p: float, grid: GridSpec) -> np.ndarray:
+    """log ||H^N f||_{L^p} for each N in ``powers``, -inf for a zero norm.
+
+    The basis rows of the grid are built once; each power is a contraction
+    of its log-scaled coefficients with them.
+    """
+    if series.is_zero:
+        return np.full(len(powers), -math.inf)
     if p == math.inf:
-        return _sup_norm(series, grid)
+        return _sup_log_norms(series, powers, grid)
     if p < 1:
         raise ValueError("p must be >= 1 (or inf)")
     d = series.dimension
@@ -159,24 +227,34 @@ def lp_norm(series: HermiteSeries, p: float, grid: GridSpec | None = None) -> Lo
     M = series.max_degree
     n = grid.quad_order or max(4 * M + 64, 128)
     rule = gauss_hermite_rule(n)
-    axes = [rule.nodes] * d
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    vals = synthesize_many(series, pts[:, 0] if d == 1 else pts)
+    rows = hermite_matrix(max(series.degrees_per_axis()), rule.nodes)
     log_w = rule.log_weights + rule.nodes**2
     log_cell = log_w
     for _ in range(d - 1):
-        log_cell = (log_cell[:, None] + log_w[None, :]).ravel()
-    with np.errstate(divide="ignore"):
-        log_abs = np.log(np.abs(vals))
-    finite = log_abs > -math.inf
-    if not finite.any():
-        return LogScalar.zero()
-    total = logsumexp(log_cell[finite] + p * log_abs[finite])
-    return LogScalar.from_log(total / p)
+        log_cell = log_cell[..., None] + log_w
+    out = []
+    for top, block in _powered_blocks(series, powers):
+        with np.errstate(divide="ignore"):
+            log_abs = np.log(np.abs(_synthesize_dense(block, rows)))
+        finite = log_abs > -math.inf
+        if not finite.any():
+            out.append(-math.inf)
+            continue
+        out.append(top + logsumexp(log_cell[finite] + p * log_abs[finite]) / p)
+    return np.array(out)
 
 
-def _sup_norm(series: HermiteSeries, grid: GridSpec) -> LogScalar:
+# local maxima of the scan whose |f| is at least this share of the scan
+# maximum are polished: between two scan points |f| can exceed its sampled
+# value by about 1/cos(pi/8) per axis at the default step (1/cos(pi/4) at
+# the coarsest step the GridError check admits), so a lower scan value can
+# still hide the global peak
+_PEAK_SHARE = 0.5
+_NEWTON_MAX_ITER = 40
+_STEP_TOL = 1e-6
+
+
+def _sup_log_norms(series: HermiteSeries, powers, grid: GridSpec) -> np.ndarray:
     d = series.dimension
     if d > 2:
         raise ValueError("sup norms are limited to dimension <= 2")
@@ -189,31 +267,124 @@ def _sup_norm(series: HermiteSeries, grid: GridSpec) -> LogScalar:
             f"(need <= {osc:.4g} for max degree {M})")
     extent = turning_point_extent(M, d, grid.padding)
     axis = np.arange(-extent, extent + step, step)
+    rows = hermite_matrix(max(series.degrees_per_axis()), axis)
+    tops, blocks, scan_max, starts, owner = [], [], [], [], []
+    for i, (top, block) in enumerate(_powered_blocks(series, powers)):
+        sq = np.abs(_synthesize_dense(block, rows)) ** 2
+        peak = float(sq.max())
+        tops.append(top)
+        blocks.append(block)
+        scan_max.append(peak)
+        cand = np.argwhere(_local_maxima(sq) & (sq >= _PEAK_SHARE**2 * peak) & (sq > 0))
+        starts.append(axis[cand])
+        owner.append(np.full(len(cand), i))
+    owner = np.concatenate(owner)
+    best = np.array(scan_max)
+    if owner.size:
+        polished = _newton_peaks(np.stack(blocks), owner, np.concatenate(starts), step)
+        np.maximum.at(best, owner, polished)
+    with np.errstate(divide="ignore"):
+        return np.array(tops) + 0.5 * np.log(best)
+
+
+def _local_maxima(vals: np.ndarray) -> np.ndarray:
+    """Points of a d-dim grid at least as large as each of their neighbours."""
+    padded = np.pad(vals, 1, constant_values=-math.inf)
+    keep = np.ones(vals.shape, dtype=bool)
+    for shift in np.ndindex(*(3,) * vals.ndim):
+        if shift != (1,) * vals.ndim:
+            keep &= vals >= padded[tuple(slice(s, s + n) for s, n in zip(shift, vals.shape))]
+    return keep
+
+
+def _peak_model(blocks: np.ndarray, owner: np.ndarray, pts: np.ndarray):
+    """|f|^2 with its gradient and Hessian at pts (m, d).
+
+    Point i belongs to the power whose dense coefficients are
+    blocks[owner[i]]; f and its partial derivatives up to order 2 come from
+    the exact derivative rows of each axis.
+    """
+    m, d = pts.shape
+    sizes = blocks.shape[1:]
+    vals, first, second = hermite_derivative_rows(max(sizes) - 1, pts.T.ravel())
+    rows = [tuple(r[:sizes[i], i * m:(i + 1) * m] for r in (vals, first, second))
+            for i in range(d)]
+    # contract every axis but the last, grouped by power so no per-point copy
+    # of a 2-d block is made
     if d == 1:
-        pts = axis
+        partial = {(): blocks[owner]}
     else:
-        mesh = np.meshgrid(axis, axis, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    vals = np.abs(synthesize_many(series, pts))
-    best = int(np.argmax(vals))
-    x0 = np.atleast_1d(pts[best] if d > 1 else pts[best])
+        partial = {}
+        for a in range(3):
+            t = np.empty((m, sizes[1]), dtype=complex)
+            for n in np.unique(owner):
+                sel = owner == n
+                t[sel] = rows[0][a][:, sel].T @ blocks[n]
+            partial[(a,)] = t
+    # derivs[(a, ...)]: the a-th partial along each axis, total order <= 2
+    derivs = {key + (b,): np.einsum("mk,km->m", t, rows[-1][b])
+              for key, t in partial.items() for b in range(3 - sum(key))}
+    f = derivs[(0,) * d]
+    unit = np.eye(d, dtype=int)
+    grad = [derivs[tuple(unit[i])] for i in range(d)]
+    g = np.abs(f) ** 2
+    gradient = np.stack([2.0 * np.real(np.conj(f) * gi) for gi in grad], axis=-1)
+    hess = np.empty((m, d, d))
+    for i in range(d):
+        for j in range(d):
+            fij = derivs[tuple(unit[i] + unit[j])]
+            hess[:, i, j] = 2.0 * np.real(np.conj(grad[i]) * grad[j] + np.conj(f) * fij)
+    return g, gradient, hess
 
-    def neg_abs(x):
-        return -abs(synthesize_many(series, x.reshape(1, -1))[0])
 
-    res = minimize(neg_abs, x0, method="Nelder-Mead",
-                   options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 400})
-    peak = max(float(vals[best]), float(-res.fun))
-    return LogScalar.from_float(peak)
+def _newton_peaks(blocks: np.ndarray, owner: np.ndarray, starts: np.ndarray,
+                  step: float) -> np.ndarray:
+    """Safeguarded Newton ascent on |f|^2 from each scan maximum.
+
+    Every iterate stays in the start's scan cell (+-step per axis); a trial
+    point is accepted only if it raises |f|^2, otherwise the trust radius
+    shrinks.  Returns the largest |f|^2 reached from each start, which is
+    never below its value at the start.
+    """
+    x = starts.astype(float)
+    g, grad, hess = _peak_model(blocks, owner, x)
+    radius = np.full(len(x), float(step))
+    active = np.ones(len(x), dtype=bool)
+    for _ in range(_NEWTON_MAX_ITER):
+        idx = np.nonzero(active)[0]
+        if idx.size == 0:
+            break
+        gr, hs, r = grad[idx], hess[idx], radius[idx]
+        concave = np.all(np.linalg.eigvalsh(hs) < 0, axis=-1)
+        delta = np.zeros_like(gr)
+        if concave.any():
+            delta[concave] = -np.linalg.solve(hs[concave], gr[concave][..., None])[..., 0]
+        norm = np.linalg.norm(gr[~concave], axis=-1, keepdims=True)
+        delta[~concave] = gr[~concave] / np.where(norm > 0, norm, 1.0) * r[~concave, None]
+        size = np.max(np.abs(delta), axis=-1)
+        delta *= np.minimum(1.0, r / np.where(size > 0, size, 1.0))[:, None]
+        trial = np.clip(x[idx] + delta, starts[idx] - step, starts[idx] + step)
+        # Newton converges quadratically: after a step this short the point is
+        # within ~1e-12 of the peak, far below what moves |f|^2 in float
+        done = np.max(np.abs(trial - x[idx]), axis=-1) <= _STEP_TOL * step
+        gt, gradt, hesst = _peak_model(blocks, owner[idx], trial)
+        up = gt >= g[idx]
+        acc = idx[up]
+        x[acc], g[acc], grad[acc], hess[acc] = trial[up], gt[up], gradt[up], hesst[up]
+        radius[idx[~up]] /= 4.0
+        active[idx] = ~done
+    return g
 
 
 def norm_sequence(series: HermiteSeries, n_max: int, norm_kind: str = "l2",
                   sigma: float = 1.0, grid: GridSpec | None = None) -> NormSequence:
     """Norms of H^N f for N = 0..n_max.
 
-    ``norm_kind`` is "l2", "linf" or "lp:<p>".  The L2 route runs entirely in
-    the log domain and tolerates any power; the grid-based routes synthesize
-    H^N f with float coefficients and are meant for moderate N.
+    ``norm_kind`` is "l2", "linf" or "lp:<p>".  The L2 route is a Parseval
+    sum in the log domain.  The grid routes build the basis rows of their
+    grid once and contract them with the coefficients of each power scaled
+    by exp(-max log|c_alpha (2|alpha|+d)^N|), adding that scale back in log
+    space; every route therefore tolerates any power.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -225,9 +396,8 @@ def norm_sequence(series: HermiteSeries, n_max: int, norm_kind: str = "l2",
         vals = [(int(n), LogScalar.from_log(l)) for n, l in zip(powers, logs)]
     elif norm_kind == "linf" or norm_kind.startswith("lp:"):
         p = math.inf if norm_kind == "linf" else float(norm_kind.split(":", 1)[1])
-        vals = []
-        for n in powers:
-            vals.append((int(n), lp_norm(apply_H(series, int(n)), p, grid)))
+        logs = _grid_log_norms(series, powers, p, grid or GridSpec())
+        vals = [(int(n), _as_log_scalar(l)) for n, l in zip(powers, logs)]
     else:
         raise ValueError(f"unknown norm kind {norm_kind!r}")
     return NormSequence(dimension=series.dimension, sigma=sigma,

@@ -1,8 +1,9 @@
 """Independent numerical oracles used by the tests.
 
 These deliberately avoid the library's own spectral paths: the oscillator is
-applied by finite differences, moments come from closed forms, and Parseval
-sums are brute-force floats.
+applied by finite differences, moments come from closed forms, Parseval
+sums are brute-force floats, and point values of H^N f come from a plain
+test-local recurrence or from mpmath.
 """
 
 import math
@@ -44,3 +45,34 @@ def gaussian_moment(k: int) -> float:
 
 def brute_parseval(series) -> float:
     return sum(abs(c) ** 2 for _, c in series.items())
+
+
+def hermite_table(kmax: int, xs: np.ndarray) -> np.ndarray:
+    """h_0..h_kmax at xs by the unscaled three-term recurrence.
+
+    No rescaling, so only for moderate degree and |x| (kmax <= 60, |x| <= 15).
+    """
+    xs = np.asarray(xs, dtype=float)
+    rows = [math.pi ** -0.25 * np.exp(-xs * xs / 2)]
+    if kmax >= 1:
+        rows.append(math.sqrt(2.0) * xs * rows[0])
+    for k in range(1, kmax):
+        rows.append(math.sqrt(2.0 / (k + 1)) * xs * rows[k] - math.sqrt(k / (k + 1)) * rows[k - 1])
+    return np.array(rows)
+
+
+def hermite_mp(k: int, x):
+    """Orthonormal h_k(x) in mpmath: H_k(x) exp(-x^2/2) / sqrt(2^k k! sqrt(pi))."""
+    import mpmath
+    x = mpmath.mpf(x)
+    norm = mpmath.sqrt(mpmath.mpf(2) ** k * mpmath.factorial(k) * mpmath.sqrt(mpmath.pi))
+    return mpmath.hermite(k, x) * mpmath.exp(-x * x / 2) / norm
+
+
+def powered_abs_mp(coeffs: dict, power: int, x) -> float:
+    """|H^N f(x)| in mpmath for a 1-d coefficient map {k: c_k}."""
+    import mpmath
+    total = mpmath.mpc(0)
+    for k, c in coeffs.items():
+        total += mpmath.mpc(c.real, c.imag) * (2 * k + 1) ** power * hermite_mp(k, x)
+    return float(abs(total))

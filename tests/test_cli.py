@@ -1,9 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from hgl.cli import EXIT_INPUT, EXIT_OK, main
+
+from oracles import hermite_table, powered_abs_mp
 
 
 def run(args):
@@ -145,6 +148,82 @@ class TestNormsCommand:
         run(args + ["--out", str(a)])
         run(args + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+def _norm_rows(path):
+    return [(int(r.split(",")[0]), float(r.split(",")[1]))
+            for r in path.read_text().strip().splitlines()[2:]]
+
+
+class TestLinfTwoPeaks:
+    """H^N f with two near-equal peaks: the sup must reach the higher one.
+
+    The reference peak is the argmax of |H^N f| on a uniform grid of step
+    0.002 from a test-local recurrence, valued in mpmath.
+    """
+
+    CASES = [("0.6362,0.7947,1.4658", 12, 247, 4),
+             ("0.8404,1.1176,1.8633", 12, 309, 5),
+             ("1.7536,-1.4168,-1.3708", 12, 190, 2),
+             ("0.6031,-1.0075,-1.4593", 15, 310, 3)]
+
+    @pytest.mark.parametrize("spec,degree,quad,n_max", CASES)
+    def test_reaches_the_fine_grid_peak(self, tmp_path, spec, degree, quad, n_max):
+        pytest.importorskip("mpmath")
+        from hgl import Preset, build_preset
+        preset = f"modulated_gaussian:{spec}"
+        out = tmp_path / "norms.csv"
+        assert run(["norms", "--preset", preset, "--max-degree", str(degree),
+                    "--quad-order", str(quad), "--norm", "linf", "--n-max", str(n_max),
+                    "--out", str(out)]) == EXIT_OK
+        series = build_preset(Preset.parse(preset), dimension=1, max_degree=degree,
+                              quad_order=quad)
+        coeffs = {a[0]: c for a, c in series.items()}
+        xs = np.arange(-12.0, 12.0, 0.002)
+        table = hermite_table(degree, xs)
+        rows = _norm_rows(out)
+        assert [n for n, _ in rows] == list(range(n_max + 1))
+        for n, got in rows:
+            vals = sum(c * (2 * k + 1) ** n * table[k] for k, c in coeffs.items())
+            x_peak = float(xs[np.argmax(np.abs(vals))])
+            assert got >= math.log(powered_abs_mp(coeffs, n, x_peak)) - 1e-9
+
+
+class TestLargePowers:
+    """Grid norms at N = 200, far past the float range of the coefficients."""
+
+    ARGS = ["norms", "--preset", "synthetic_flat:1,1,80", "--n-max", "200"]
+
+    @pytest.mark.parametrize("norm", ["linf", "lp:3", "mod:2,2,const"])
+    def test_finite_rows(self, tmp_path, norm):
+        out = tmp_path / "norms.csv"
+        assert run(self.ARGS + ["--norm", norm, "--out", str(out)]) == EXIT_OK
+        rows = _norm_rows(out)
+        assert [n for n, _ in rows] == list(range(201))
+        assert all(math.isfinite(v) for _, v in rows)
+
+    def test_lp2_is_parseval(self, tmp_path):
+        # the 4M + 64 point rule integrates |H^N f|^2 exactly
+        lp, l2 = tmp_path / "lp.csv", tmp_path / "l2.csv"
+        assert run(self.ARGS + ["--norm", "lp:2", "--out", str(lp)]) == EXIT_OK
+        assert run(self.ARGS + ["--norm", "l2", "--out", str(l2)]) == EXIT_OK
+        lp_rows, l2_rows = _norm_rows(lp), _norm_rows(l2)
+        assert [n for n, _ in lp_rows] == [n for n, _ in l2_rows] == list(range(201))
+        for (_, a), (_, b) in zip(lp_rows, l2_rows):
+            assert a == pytest.approx(b, abs=1e-9)
+
+
+def test_classify_report_is_strict_json(tmp_path):
+    out = tmp_path / "report.json"
+    assert run(["classify", "--preset", "synthetic_flat:1,1,80", "--sigma", "1",
+                "--n-max", "5", "--out", str(out)]) == EXIT_OK
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    data = json.loads(out.read_text(), parse_constant=refuse)
+    fit = data["cross_validation"]["norm_fit"]
+    assert fit["drift"] is None and fit["stability"] is None
 
 
 class TestVerifyLemmasCommand:

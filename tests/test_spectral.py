@@ -5,8 +5,9 @@ import pytest
 
 from hgl import (GridError, GridSpec, HermiteSeries, analyze, apply_H, finite_random,
                  l2_norm, lp_norm, norm_sequence, stirling_bounds, synthesize_many)
+from hgl.hermite import hermite_derivative_rows
 
-from oracles import oscillator_fd, oscillator_fd_twice
+from oracles import hermite_mp, oscillator_fd, oscillator_fd_twice
 
 
 class TestApplyH:
@@ -111,6 +112,53 @@ class TestNormSequence:
     def test_stores_max_degree(self):
         s = finite_random(9, 0)
         assert norm_sequence(s, 2).max_degree == 9
+
+
+class TestOnePowerIsSequenceRow:
+    """lp_norm of one power and the sequence route share one code path."""
+
+    @pytest.mark.parametrize("p,dim", [(3.0, 1), (1.0, 2), (4.0, 2), (math.inf, 1),
+                                       (math.inf, 2)])
+    def test_lp_norm_equals_sequence_row(self, p, dim):
+        s = finite_random(14 if dim == 1 else 6, 5, dimension=dim)
+        kind = "linf" if p == math.inf else f"lp:{p:g}"
+        seq = norm_sequence(s, 6, kind)
+        for n, v in seq.values:
+            one = lp_norm(apply_H(s, n), p)
+            assert one.log_magnitude == pytest.approx(v.log_magnitude, abs=1e-12)
+
+
+class TestDerivativeRows:
+    """h_k' and h_k'' rows against mpmath differentiation of h_k."""
+
+    KS = (0, 1, 2, 5, 13, 30, 47, 60)
+    XS = np.concatenate([np.linspace(-8.0, 8.0, 17), [0.37, -2.9, 7.3]])
+
+    def test_against_mpmath_derivatives(self):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        vals, first, second = hermite_derivative_rows(60, self.XS)
+        for k in self.KS:
+            for i, x in enumerate(self.XS):
+                def h(t):
+                    return hermite_mp(k, t)
+                # size of the terms the ladder relation combines at x
+                scale = float(abs(h(x)) + mpmath.sqrt(k / 2.0) * abs(hermite_mp(max(k - 1, 0), x))
+                              + mpmath.sqrt((k + 1) / 2.0) * abs(hermite_mp(k + 1, x)))
+                assert abs(first[k, i] - float(mpmath.diff(h, x))) <= 1e-10 * scale
+                assert (abs(second[k, i] - float(mpmath.diff(h, x, 2)))
+                        <= 1e-10 * (x * x + 2 * k + 1) * scale)
+
+
+def test_cli_import_skips_scipy_optimize():
+    import os
+    import subprocess
+    import sys
+    code = "import sys, hgl.cli; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 class TestSpectralVsDifferential:
