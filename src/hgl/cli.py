@@ -1,8 +1,8 @@
 """Batch front end: analyze, classify, envelope, norms, verify-lemmas.
 
-Exit codes: 0 success, 2 input error, 3 suite failure.  Every report embeds
-the config that produced it, and identical configs produce byte-identical
-output files.
+Exit codes: 0 success, 2 input error (overflow and quadrature failures
+included), 3 suite failure.  Every report embeds the config that produced
+it, and identical configs produce byte-identical output files.
 """
 
 from __future__ import annotations
@@ -15,12 +15,12 @@ import sys
 import numpy as np
 
 from . import envelopes
-from ._util import parallel_map
 from .classify import classify, cross_validate
 from .io import (InputFormatError, atomic_write_text, load_samples_csv, load_series,
-                 save_json_report, save_norm_sequence_csv, series_to_json_dict)
+                 norm_sequence_csv, report_json, series_to_json_dict)
 from .modulation import MixedNormParams, Weight, norm_sequence_mod
 from .presets import Preset, build_preset
+from .quadrature import QuadratureError
 from .series import HermiteSeries, analyze
 from .spectral import norm_sequence
 
@@ -122,8 +122,8 @@ def cmd_analyze(args) -> int:
     payload = series_to_json_dict(series)
     payload["config"] = _config_dict(args, ("preset", "input", "dim", "max_degree",
                                             "quad_order"))
-    # no walk for null here: a non-finite coefficient (a corrupt --input file)
-    # fails the strict dump and exits as an input error
+    # plain values, and HermiteSeries holds only finite coefficients, so the
+    # report_json walk (half again the dump time on large tensors) is not needed
     _emit(json.dumps(payload, indent=1, allow_nan=False) + "\n", args.out)
     return EXIT_OK
 
@@ -139,26 +139,8 @@ def cmd_classify(args) -> int:
     if args.sigma is not None:
         payload["cross_validation"] = cross_validate(series, args.sigma,
                                                      args.n_max).to_json_dict()
-    _emit(_report_json(payload), args.out)
+    _emit(report_json(payload), args.out)
     return EXIT_OK
-
-
-def _strict(obj):
-    """Plain JSON values: numpy types unwrapped, non-finite floats as None."""
-    if isinstance(obj, dict):
-        return {k: _strict(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_strict(v) for v in obj]
-    if isinstance(obj, (np.ndarray, np.generic)):
-        return _strict(obj.tolist())
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return None
-    return obj
-
-
-def _report_json(payload: dict) -> str:
-    """Strict JSON report text: non-finite floats are written as null."""
-    return json.dumps(_strict(payload), indent=1, allow_nan=False) + "\n"
 
 
 def cmd_envelope(args) -> int:
@@ -194,7 +176,7 @@ def cmd_envelope(args) -> int:
     if args.format == "json":
         payload = {"config": cfg, "skipped": skipped,
                    "rows": [{"order": k, "log_envelope": v} for k, v in rows]}
-        _emit(_report_json(payload), args.out)
+        _emit(report_json(payload), args.out)
     else:
         lines = [f"# config: {json.dumps(cfg, sort_keys=True)}", header]
         lines += [f"{k},{v!r}" for k, v in rows]
@@ -220,20 +202,12 @@ def cmd_norms(args) -> int:
     else:
         seq = norm_sequence(series, args.n_max, kind, sigma)
     if args.format == "json":
-        payload = {"config": cfg,
-                   "values": [{"N": n, "log_norm": (v.log_magnitude if v.sign else None),
-                               "norm_kind": seq.norm_kind} for n, v in seq.values]}
-        _emit(_report_json(payload), args.out)
-        return EXIT_OK
-    if args.out:
-        save_norm_sequence_csv(seq, args.out,
-                               config_line=f"config: {json.dumps(cfg, sort_keys=True)}")
+        text = report_json({"config": cfg,
+                            "values": [{"N": n, "log_norm": (v.log_magnitude if v.sign else None),
+                                        "norm_kind": seq.norm_kind} for n, v in seq.values]})
     else:
-        lines = [f"# config: {json.dumps(cfg, sort_keys=True)}", "N,log_norm,norm_kind"]
-        for n, v in seq.values:
-            log = v.log_magnitude if v.sign else -math.inf
-            lines.append(f"{n},{log!r},{seq.norm_kind}")
-        sys.stdout.write("\n".join(lines) + "\n")
+        text = norm_sequence_csv(seq, f"config: {json.dumps(cfg, sort_keys=True)}")
+    _emit(text, args.out)
     return EXIT_OK
 
 
@@ -242,28 +216,16 @@ def cmd_verify_lemmas(args) -> int:
     t_max = args.t_max or 1e3
     mono_t_max = args.t_max or 200.0
 
-    def run_ratios(R):
-        return envelopes.check_factor_ratios_bounded(R, t_max=t_max)
-
-    def run_mono(sigma):
-        return envelopes.check_envelope_factor_monotone(sigma, t_max=mono_t_max,
-                                                        t_min=args.t_min)
-
-    jobs = [lambda R=R: run_ratios(R) for R in (1.0, 5.0)]
-    jobs += [lambda s=s: run_mono(s) for s in (1.0, 2.0)]
-    jobs += [lambda: envelopes.check_infimum_bound()]
-    jobs += [lambda r=r: envelopes.check_peak_term_bounded(r)
-             for r in (0.2, 0.5, 1.0, 2.0)]
-    reports = parallel_map(lambda job: job(), jobs)
+    reports = [envelopes.check_factor_ratios_bounded(R, t_max=t_max) for R in (1.0, 5.0)]
+    reports += [envelopes.check_envelope_factor_monotone(s, t_max=mono_t_max, t_min=args.t_min)
+                for s in (1.0, 2.0)]
+    reports.append(envelopes.check_infimum_bound())
+    reports += [envelopes.check_peak_term_bounded(r) for r in (0.2, 0.5, 1.0, 2.0)]
     all_passed = all(r.passed for r in reports)
     payload = {"config": cfg,
                "all_passed": all_passed,
                "suites": [r.to_json_dict() for r in reports]}
-    text = _report_json(payload)
-    if args.out:
-        atomic_write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit(report_json(payload), args.out)
     return EXIT_OK if all_passed else EXIT_SUITE
 
 
@@ -274,6 +236,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (InputFormatError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except (OverflowError, QuadratureError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

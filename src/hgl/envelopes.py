@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .io import json_value
 from .logscalar import LogScalar
 from .series import MultiIndex
 
@@ -65,29 +66,16 @@ class BoundCheckReport:
     details: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        def conv(x):
-            if isinstance(x, LogScalar):
-                return x.to_json_pair()
-            if isinstance(x, np.ndarray):
-                return [float(v) for v in x]
-            if isinstance(x, (np.floating, np.integer)):
-                return x.item()
-            if isinstance(x, dict):
-                return {k: conv(v) for k, v in x.items()}
-            if isinstance(x, (list, tuple)):
-                return [conv(v) for v in x]
-            return x
-
-        return {
+        return json_value({
             "name": self.name,
-            "grid": conv(self.grid),
-            "max_ratio": self.max_ratio.to_json_pair(),
-            "fitted_constant": self.fitted_constant.to_json_pair(),
-            "witness": conv(self.witness),
+            "grid": self.grid,
+            "max_ratio": self.max_ratio,
+            "fitted_constant": self.fitted_constant,
+            "witness": self.witness,
             "passed": self.passed,
             "threshold": self.threshold,
-            "details": conv(self.details),
-        }
+            "details": self.details,
+        })
 
 
 # ----------------------------------------------------------------------

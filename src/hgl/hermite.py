@@ -9,6 +9,10 @@ recurrence
 seeded with h_0(x) = pi^{-1/4} exp(-x^2/2).  A running rescale keeps the
 recurrence meaningful even where the seed underflows float64 (large |x|,
 large k), so values are accurate for k up to 10^4 and |x| up to 50.
+
+One kernel, ``_recurrence``, holds the recurrence and its rescale; point
+values, basis rows, Christoffel sums and the Newton steps that polish
+Gauss-Hermite nodes are all read off it.
 """
 
 from __future__ import annotations
@@ -23,6 +27,28 @@ _LOG_PI_QUARTER = 0.25 * math.log(math.pi)
 _RESCALE_AT = 1e120
 
 
+def _recurrence(kmax: int, x: np.ndarray):
+    """Yield (u_k, u_{k-1}, log_scale) for k = 0..kmax, with h_k = u_k exp(log_scale).
+
+    Whenever |u_k| passes _RESCALE_AT the pair is divided by |u_k| and the
+    factor moves into log_scale.  The yielded arrays are updated in place by
+    the next step, so read them before advancing.
+    """
+    log_scale = -0.5 * x * x - _LOG_PI_QUARTER
+    u_prev = np.zeros_like(x)
+    u = np.ones_like(x)
+    yield u, u_prev, log_scale
+    for k in range(kmax):
+        u_prev, u = u, x * math.sqrt(2.0 / (k + 1)) * u - math.sqrt(k / (k + 1)) * u_prev
+        big = np.abs(u) > _RESCALE_AT
+        if big.any():
+            s = np.abs(u[big])
+            log_scale[big] += np.log(s)
+            u[big] /= s
+            u_prev[big] /= s
+        yield u, u_prev, log_scale
+
+
 def hermite_eval(k: int, x: float) -> float:
     """Value of the orthonormal Hermite function h_k at a real point.
 
@@ -33,18 +59,11 @@ def hermite_eval(k: int, x: float) -> float:
         raise ValueError(f"degree must be >= 0, got {k}")
     if not math.isfinite(x):
         raise ValueError(f"evaluation point must be finite, got {x!r}")
-    log_scale = -0.5 * x * x - _LOG_PI_QUARTER
-    u_prev, u = 0.0, 1.0
-    for j in range(k):
-        u_prev, u = u, x * math.sqrt(2.0 / (j + 1)) * u - math.sqrt(j / (j + 1)) * u_prev
-        au = abs(u)
-        if au > _RESCALE_AT:
-            log_scale += math.log(au)
-            u /= au
-            u_prev /= au
-    if log_scale < -745.0:
+    for u, _, log_scale in _recurrence(k, np.array([float(x)])):
+        pass
+    if log_scale[0] < -745.0:
         return 0.0
-    return u * math.exp(log_scale)
+    return float(u[0]) * math.exp(log_scale[0])
 
 
 def hermite_eval_multi(alpha, x) -> float:
@@ -65,8 +84,7 @@ def hermite_eval_multi(alpha, x) -> float:
 def hermite_matrix(kmax: int, x) -> np.ndarray:
     """All h_k(x) for k = 0..kmax at the points x, shape (kmax+1, len(x)).
 
-    Vectorized form of the rescaled recurrence; the workhorse behind the
-    transforms and quadrature weights.
+    The workhorse behind the transforms and quadrature weights.
     """
     if kmax < 0:
         raise ValueError(f"kmax must be >= 0, got {kmax}")
@@ -74,19 +92,8 @@ def hermite_matrix(kmax: int, x) -> np.ndarray:
     if not np.all(np.isfinite(pts)):
         raise ValueError("evaluation points must be finite")
     out = np.empty((kmax + 1, pts.size))
-    log_scale = -0.5 * pts * pts - _LOG_PI_QUARTER
-    u_prev = np.zeros(pts.size)
-    u = np.ones(pts.size)
-    out[0] = np.exp(log_scale)
-    for k in range(kmax):
-        u_prev, u = u, pts * math.sqrt(2.0 / (k + 1)) * u - math.sqrt(k / (k + 1)) * u_prev
-        big = np.abs(u) > _RESCALE_AT
-        if big.any():
-            s = np.abs(u[big])
-            log_scale[big] += np.log(s)
-            u[big] /= s
-            u_prev[big] /= s
-        out[k + 1] = u * np.exp(log_scale)
+    for k, (u, _, log_scale) in enumerate(_recurrence(kmax, pts)):
+        out[k] = u * np.exp(log_scale)
     return out
 
 
@@ -120,19 +127,11 @@ def log_abs_hermite_sumsq(n: int, x) -> np.ndarray:
     if n < 1:
         raise ValueError(f"need at least one term, got n={n}")
     pts = np.atleast_1d(np.asarray(x, dtype=float))
-    log_scale = -0.5 * pts * pts - _LOG_PI_QUARTER
-    u_prev = np.zeros(pts.size)
-    u = np.ones(pts.size)
+    terms = _recurrence(n - 1, pts)
+    _, _, log_scale = next(terms)
     # running log of sum h_k^2; term k contributes 2*(log_scale + log|u|)
     acc = 2.0 * log_scale  # k = 0 term, u = 1
-    for k in range(n - 1):
-        u_prev, u = u, pts * math.sqrt(2.0 / (k + 1)) * u - math.sqrt(k / (k + 1)) * u_prev
-        big = np.abs(u) > _RESCALE_AT
-        if big.any():
-            s = np.abs(u[big])
-            log_scale[big] += np.log(s)
-            u[big] /= s
-            u_prev[big] /= s
+    for u, _, log_scale in terms:
         with np.errstate(divide="ignore"):
             term = 2.0 * (log_scale + np.log(np.abs(u)))
         hi = np.maximum(acc, term)

@@ -2,7 +2,9 @@
 
 All writers are deterministic (sorted entries, fixed key order) and atomic
 (write to a sibling temp file, then rename), so identical inputs produce
-byte-identical files.
+byte-identical files.  Reports are strict JSON: ``json_value`` is the one
+converter from report fields to plain values, and non-finite floats are
+written as null.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from .series import HermiteSeries, MultiIndex
 from .spectral import NormSequence
 from .logscalar import LogScalar
 
-__all__ = ["save_series", "load_series", "load_samples_csv", "save_norm_sequence_csv",
-           "save_stft_field_csv", "save_json_report", "atomic_write_text",
-           "InputFormatError"]
+__all__ = ["save_series", "load_series", "load_samples_csv", "norm_sequence_csv",
+           "save_norm_sequence_csv", "save_stft_field_csv", "json_value", "report_json",
+           "save_json_report", "atomic_write_text", "InputFormatError"]
 
 
 class InputFormatError(ValueError):
@@ -69,6 +71,8 @@ def load_series(path) -> HermiteSeries:
         coeffs = {}
         for i, entry in enumerate(data["entries"]):
             alpha = MultiIndex(entry["alpha"])
+            if alpha in coeffs:
+                raise ValueError(f"entry {i} repeats alpha {list(alpha)}")
             coeffs[alpha] = complex(float(entry["re"]), float(entry.get("im", 0.0)))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"{path}: bad coefficient entry ({exc})") from exc
@@ -104,8 +108,8 @@ def load_samples_csv(path):
     return np.asarray(xs)[order], np.asarray(ys)[order]
 
 
-def save_norm_sequence_csv(seq: NormSequence, path, config_line: str = "") -> None:
-    """Write columns N, log_norm, norm_kind; log of a zero norm is -inf."""
+def norm_sequence_csv(seq: NormSequence, config_line: str = "") -> str:
+    """CSV text with columns N, log_norm, norm_kind; log of a zero norm is -inf."""
     lines = []
     if config_line:
         lines.append(f"# {config_line}")
@@ -113,7 +117,12 @@ def save_norm_sequence_csv(seq: NormSequence, path, config_line: str = "") -> No
     for n, v in seq.values:
         log = v.log_magnitude if v.sign else -math.inf
         lines.append(f"{n},{log!r},{seq.norm_kind}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def save_norm_sequence_csv(seq: NormSequence, path, config_line: str = "") -> None:
+    """Write ``norm_sequence_csv(seq, config_line)`` to path."""
+    atomic_write_text(path, norm_sequence_csv(seq, config_line))
 
 
 def save_stft_field_csv(fld, path) -> None:
@@ -138,18 +147,29 @@ def save_stft_field_csv(fld, path) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _default(obj):
+def json_value(obj):
+    """Plain JSON value of a report field, walking dicts, lists and tuples.
+
+    LogScalar becomes {"sign", "log"}, numpy scalars and arrays become plain
+    values, and non-finite floats become None (null).
+    """
+    if isinstance(obj, float):  # numpy float64 included
+        return float(obj) if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: json_value(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [json_value(v) for v in obj]
     if isinstance(obj, LogScalar):
-        return obj.to_json_pair()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if obj == math.inf:
-        return "inf"
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+        return json_value(obj.to_json_pair())
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return json_value(obj.tolist())
+    return obj
+
+
+def report_json(payload: dict) -> str:
+    """Strict JSON text of a report (no NaN or Infinity tokens)."""
+    return json.dumps(json_value(payload), indent=1, allow_nan=False) + "\n"
 
 
 def save_json_report(payload: dict, path) -> None:
-    atomic_write_text(path, json.dumps(payload, indent=1, default=_default,
-                                       allow_nan=True) + "\n")
+    atomic_write_text(path, report_json(payload))

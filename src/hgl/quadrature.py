@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .hermite import _RESCALE_AT, log_abs_hermite_sumsq
+from .hermite import _recurrence, log_abs_hermite_sumsq
 
 __all__ = ["QuadratureRule", "gauss_hermite_rule", "QuadratureError"]
 
@@ -92,7 +92,8 @@ def _polish(n: int, nodes: np.ndarray) -> np.ndarray:
     x = nodes.copy()
     active = np.ones(n, dtype=bool)
     for _ in range(_NEWTON_MAX_ITER):
-        u_last, u_prev = _recurrence_pair(n, x)
+        for u_last, u_prev, _ in _recurrence(n, x):
+            pass
         with np.errstate(divide="ignore", invalid="ignore"):
             step = u_last / (math.sqrt(2.0 * n) * u_prev)
         step = np.where(np.isfinite(step), step, 0.0)
@@ -102,17 +103,3 @@ def _polish(n: int, nodes: np.ndarray) -> np.ndarray:
             return x
     bad = int(np.nonzero(active)[0][0])
     raise QuadratureError(f"node {bad} of the {n}-point rule did not converge")
-
-
-def _recurrence_pair(n: int, x: np.ndarray):
-    """(u_n, u_{n-1}) of the normalized recurrence at consistent scale."""
-    u_prev = np.zeros_like(x)
-    u = np.ones_like(x)
-    for k in range(n):
-        u_prev, u = u, x * math.sqrt(2.0 / (k + 1)) * u - math.sqrt(k / (k + 1)) * u_prev
-        big = np.abs(u) > _RESCALE_AT
-        if big.any():
-            s = np.abs(u[big])
-            u[big] /= s
-            u_prev[big] /= s
-    return u, u_prev

@@ -8,6 +8,7 @@ evaluates the series pointwise.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from itertools import product
 from types import MappingProxyType
@@ -79,7 +80,10 @@ class HermiteSeries:
             idx = _as_index(alpha, self.dimension)
             if idx.order > self.max_degree:
                 raise ValueError(f"index {tuple(idx)} exceeds max degree {self.max_degree}")
-            clean[idx] = complex(c)
+            c = complex(c)
+            if not cmath.isfinite(c):
+                raise ValueError(f"coefficient at index {tuple(idx)} is not finite")
+            clean[idx] = c
         object.__setattr__(self, "coefficients", MappingProxyType(clean))
 
     def coefficient(self, alpha) -> complex:

@@ -270,3 +270,48 @@ def test_csv_input_with_higher_dim_rejected(tmp_path, capsys):
     csv.write_text("0.0,1.0\n1.0,0.5\n")
     assert run(["analyze", "--input", str(csv), "--dim", "2"]) == EXIT_INPUT
     assert "dimension 1" in capsys.readouterr().err
+
+
+def _coefficient_file(tmp_path, entries_json):
+    path = tmp_path / "coef.json"
+    path.write_text('{"d": 1, "max_degree": 2, "entries": [' + entries_json + ']}')
+    return str(path)
+
+
+class TestCorruptCoefficientInput:
+    def test_repeated_alpha_is_input_error(self, tmp_path, capsys):
+        src = _coefficient_file(tmp_path, '{"alpha": [0], "re": 1.0, "im": 0.0}, '
+                                          '{"alpha": [1], "re": 0.5, "im": 0.0}, '
+                                          '{"alpha": [0], "re": 5.0, "im": 0.0}')
+        assert run(["norms", "--input", src, "--norm", "l2", "--n-max", "3"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "entry 2 repeats alpha [0]" in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("norm", ["linf", "lp:3"])
+    def test_nan_coefficient_is_input_error(self, tmp_path, capsys, norm):
+        src = _coefficient_file(tmp_path, '{"alpha": [0], "re": 1.0, "im": 0.0}, '
+                                          '{"alpha": [1], "re": NaN, "im": 0.0}')
+        out = tmp_path / "norms.csv"
+        assert run(["norms", "--input", src, "--norm", norm, "--n-max", "3",
+                    "--out", str(out)]) == EXIT_INPUT
+        assert not out.exists()
+        assert "not finite" in capsys.readouterr().err
+
+    def test_infinite_coefficient_is_input_error(self, tmp_path, capsys):
+        src = _coefficient_file(tmp_path, '{"alpha": [0], "re": 1.0, "im": 0.0}, '
+                                          '{"alpha": [2], "re": Infinity, "im": 0.0}')
+        assert run(["classify", "--input", src, "--sigma", "1"]) == EXIT_INPUT
+        assert "index (2,) is not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["envelope", "--target", "coeff", "--s", "1e-300", "--max-degree", "5"],
+    ["classify", "--preset", "synthetic_flat:1,1e300,80", "--sigma", "1"],
+    ["norms", "--preset", "synthetic_flat:1,1e300,80"],
+])
+def test_overflow_is_input_error_with_one_line(argv, capsys):
+    assert run(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

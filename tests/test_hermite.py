@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from hgl import hermite_eval, hermite_eval_multi, hermite_matrix
+from hgl.hermite import log_abs_hermite_sumsq
+
+from oracles import hermite_mp
 
 PI_QUARTER = math.pi ** -0.25
 
@@ -20,12 +23,33 @@ def test_second_mode_from_recurrence():
     assert hermite_eval(2, 0.0) == pytest.approx(-PI_QUARTER / math.sqrt(2), rel=1e-14)
 
 
-def test_matches_matrix_evaluation():
-    xs = np.linspace(-8, 8, 41)
-    mat = hermite_matrix(30, xs)
-    for k in (0, 3, 17, 30):
-        for i, x in enumerate(xs):
-            assert hermite_eval(k, float(x)) == pytest.approx(mat[k, i], abs=1e-14)
+# degrees and points from the bulk of the basis out to the tails, where the
+# recurrence runs on its rescale
+MP_DEGREES = (0, 1, 17, 300, 999, 1000)
+MP_POINTS = (0.3, 7.9, 25.0, 40.0, 44.5)
+
+
+def test_values_match_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    mat = hermite_matrix(max(MP_DEGREES), MP_POINTS)
+    for k in MP_DEGREES:
+        for i, x in enumerate(MP_POINTS):
+            with mpmath.workdps(30):
+                exact = float(hermite_mp(k, x))
+            for got in (mat[k, i], hermite_eval(k, x)):
+                if exact == 0.0:
+                    assert got == 0.0  # true value below the float64 range
+                else:
+                    assert abs(got - exact) <= 1e-12 * abs(exact), (k, x)
+
+
+def test_log_sumsq_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    got = log_abs_hermite_sumsq(300, MP_POINTS)
+    for i, x in enumerate(MP_POINTS):
+        with mpmath.workdps(30):
+            exact = mpmath.log(mpmath.fsum(hermite_mp(k, x) ** 2 for k in range(300)))
+        assert abs(got[i] - float(exact)) <= 1e-12, x
 
 
 def test_finite_on_extreme_domain():

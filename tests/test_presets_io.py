@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from hgl import HermiteSeries, Preset, build_preset, finite_random, synthetic_flat
-from hgl.io import (InputFormatError, load_samples_csv, load_series,
+from hgl import HermiteSeries, LogScalar, Preset, build_preset, finite_random, synthetic_flat
+from hgl.io import (InputFormatError, load_samples_csv, load_series, save_json_report,
                     save_norm_sequence_csv, save_series)
 from hgl.spectral import norm_sequence
 
@@ -116,3 +116,17 @@ def test_norm_sequence_csv_format(tmp_path):
     n, log_norm, kind = lines[2].split(",")
     assert n == "0" and kind == "l2"
     float(log_norm)
+
+
+def test_json_report_is_strict(tmp_path):
+    path = tmp_path / "report.json"
+    save_json_report({"ratio": LogScalar.from_log(2.5), "zero": LogScalar.zero(),
+                      "values": np.array([1.0, np.nan, -np.inf]), "count": np.int64(3),
+                      "fit": (np.float64(np.inf), 0.5)}, path)
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    assert json.loads(path.read_text(), parse_constant=refuse) == {
+        "ratio": {"sign": 1, "log": 2.5}, "zero": {"sign": 0, "log": None},
+        "values": [1.0, None, None], "count": 3, "fit": [None, 0.5]}

@@ -53,6 +53,26 @@ def test_large_rule_log_weights_stay_finite():
     assert rule.log_weights.min() < -800
 
 
+@pytest.mark.parametrize("n", [50, 200])
+def test_matches_mpmath_roots_and_weights(n):
+    # roots of H_n polished by Newton steps at 40 digits from numpy's nodes;
+    # log w = log(2^(n-1) n! sqrt(pi) / (n^2 H_{n-1}(x)^2)) in closed form
+    mpmath = pytest.importorskip("mpmath")
+    rule = gauss_hermite_rule(n)
+    start, _ = np.polynomial.hermite.hermgauss(n)
+    with mpmath.workdps(40):
+        log_const = ((n - 1) * mpmath.log(2) + mpmath.loggamma(n + 1)
+                     + mpmath.log(mpmath.pi) / 2 - 2 * mpmath.log(n))
+        for i in range(n // 2, n):  # the rule is exactly symmetric
+            x = mpmath.mpf(start[i])
+            for _ in range(3):
+                x -= mpmath.hermite(n, x) / (2 * n * mpmath.hermite(n - 1, x))
+            log_w = float(log_const - 2 * mpmath.log(abs(mpmath.hermite(n - 1, x))))
+            for j, node in ((i, float(x)), (n - 1 - i, -float(x))):
+                assert abs(rule.nodes[j] - node) <= 1e-13, j
+                assert abs(rule.log_weights[j] - log_w) <= 1e-12, j
+
+
 def test_order_bounds():
     with pytest.raises(ValueError):
         gauss_hermite_rule(0)
