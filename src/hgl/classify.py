@@ -402,35 +402,39 @@ def _matched_log_radii(log_norms: np.ndarray, powers: np.ndarray, sigma: float,
     is monotone in r).  Matching against the family at the same truncation
     removes both the asymptotic slack of the closed-form envelope and the
     degree-cutoff contamination at large N, neither of which the flavor
-    dichotomy is about.  Radii below exp(-100) are clipped there.
+    dichotomy is about.  Radii outside [exp(-100), exp(100)] are clipped
+    there.
+
+    All powers are bisected together as one (powers, max_degree + 1) array
+    pass, 80 halvings of [-100, 100]; each row sees the same float
+    operations as a bisection of that power alone, so a radius does not
+    depend on the batch it is inverted in.
     """
     ks = np.arange(max_degree + 1, dtype=float)
     base_w = -gammaln(ks + 1.0) / sigma
     lam = np.log(2.0 * ks + dimension)
-    out = np.empty(powers.size)
-    for i, (n, target) in enumerate(zip(powers, log_norms)):
-        terms = base_w + 2.0 * float(n) * lam
+    terms = base_w + (2.0 * np.asarray(powers, dtype=float))[:, None] * lam
+    two_k = 2.0 * ks
+    target = np.asarray(log_norms, dtype=float)
 
-        def gap(log_r: float) -> float:
-            m = terms + 2.0 * ks * log_r
-            hi = float(np.max(m))
-            return 0.5 * (hi + math.log(np.sum(np.exp(m - hi)))) - target
+    def gap(log_r: np.ndarray) -> np.ndarray:
+        m = terms + two_k * log_r[:, None]
+        top = np.max(m, axis=1)
+        sums = np.sum(np.exp(m - top[:, None]), axis=1)
+        # math.log, not np.log: the two differ in the last bit on some inputs
+        log_sums = np.array([math.log(v) for v in sums.tolist()])
+        return 0.5 * (top + log_sums) - target
 
-        lo, hi = -100.0, 100.0
-        if gap(lo) >= 0.0:
-            out[i] = lo
-            continue
-        if gap(hi) <= 0.0:
-            out[i] = hi
-            continue
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if gap(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        out[i] = 0.5 * (lo + hi)
-    return out
+    lo = np.full(target.size, -100.0)
+    hi = np.full(target.size, 100.0)
+    below = gap(lo) >= 0.0
+    above = gap(hi) <= 0.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        short = gap(mid) < 0.0          # family norm below the target
+        lo = np.where(short, mid, lo)
+        hi = np.where(short, hi, mid)
+    return np.where(below, -100.0, np.where(above, 100.0, 0.5 * (lo + hi)))
 
 
 def fit_radius_from_norms(seq: NormSequence, sigma: float | None = None,

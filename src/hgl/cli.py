@@ -1,7 +1,8 @@
 """Batch front end: analyze, classify, envelope, norms, verify-lemmas.
 
 Exit codes: 0 success, 2 input error (overflow and quadrature failures
-included), 3 suite failure.  Every report embeds the config that produced
+included), 3 suite failure (an envelope search that finds no extremum
+included).  Every report embeds the config that produced
 it, and identical configs produce byte-identical output files.
 """
 
@@ -29,8 +30,25 @@ EXIT_INPUT = 2
 EXIT_SUITE = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 2 with one ``error:`` line, like every input error."""
+
+    def error(self, message):
+        self.exit(EXIT_INPUT, f"error: {message}\n")
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hgl",
         description="Hermite-spectral growth analysis: transforms, oscillator "
                     "norms, growth envelopes, scale classification.")
@@ -44,11 +62,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dim", type=int, default=1, help="dimension (default 1)")
         p.add_argument("--max-degree", type=int, default=10, dest="max_degree")
         p.add_argument("--quad-order", type=int, default=None, dest="quad_order")
-        p.add_argument("--sigma", type=float, default=None)
-        p.add_argument("--s", type=float, default=None)
+        p.add_argument("--sigma", type=_finite_float, default=None)
+        p.add_argument("--s", type=_finite_float, default=None)
         p.add_argument("--n-max", type=int, default=40, dest="n_max")
         p.add_argument("--n0", type=int, default=0)
-        p.add_argument("--radius", type=float, default=1.0,
+        p.add_argument("--radius", type=_finite_float, default=1.0,
                        help="envelope radius r (default 1)")
         p.add_argument("--norm", default="l2",
                        help="l2 | linf | lp:<p> | mod:<p>,<q>,<weight>")
@@ -74,8 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ve = sub.add_parser("verify-lemmas", help="run the inequality suites")
     common(p_ve, needs_input=False)
-    p_ve.add_argument("--t-min", type=float, default=None, dest="t_min")
-    p_ve.add_argument("--t-max", type=float, default=None, dest="t_max")
+    p_ve.add_argument("--t-min", type=_finite_float, default=None, dest="t_min")
+    p_ve.add_argument("--t-max", type=_finite_float, default=None, dest="t_max")
     p_ve.set_defaults(func=cmd_verify_lemmas)
 
     return parser
@@ -240,6 +258,9 @@ def main(argv=None) -> int:
     except (OverflowError, QuadratureError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except envelopes.EnvelopeSearchError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_SUITE
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from .logscalar import LogScalar
 from .series import MultiIndex
 
 __all__ = [
-    "EnvelopeParams", "BoundCheckReport",
+    "EnvelopeParams", "BoundCheckReport", "EnvelopeSearchError",
     "envelope_norm_flat", "envelope_coeff_flat", "envelope_coeff_s", "envelope_norm_s",
     "radius_factor_ratio", "amplitude_factor_ratio", "envelope_factor", "peak_term",
     "check_factor_ratios_bounded", "check_envelope_factor_monotone",
@@ -26,6 +26,10 @@ __all__ = [
 ]
 
 _E = math.e
+
+
+class EnvelopeSearchError(RuntimeError):
+    """A bracket scan or a discrete scan did not find its extremum."""
 
 
 @dataclass(frozen=True)
@@ -182,22 +186,47 @@ def peak_term(s: float, r: float, t: float) -> LogScalar:
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_min(fn, lo: float, hi: float, rel_tol: float = 1e-10):
-    """Golden-section minimum of a unimodal fn on [lo, hi]; (x, fn(x))."""
-    a, b = float(lo), float(hi)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fn(c), fn(d)
-    while (b - a) > rel_tol * max(1.0, abs(a), abs(b)):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fn(d)
-    return (c, fc) if fc <= fd else (d, fd)
+def _golden_min(fn, lo, hi, rel_tol: float = 1e-10):
+    """Golden-section minima of unimodal functions, one per bracket [lo, hi].
+
+    ``lo`` and ``hi`` are sequences of bracket ends; ``fn(x, rows)`` returns
+    the values at the points ``x`` of the functions of brackets ``rows``.
+    Every bracket narrows until its own stop test holds, by the same float
+    operations as a search on that bracket alone.  Returns arrays (x, fn(x)).
+    """
+    a = np.array(lo, dtype=float)
+    b = np.array(hi, dtype=float)
+    rows = np.arange(a.size)
+    x_min, f_min = np.empty(a.size), np.empty(a.size)
+    width = b - a
+    c = b - _INVPHI * width
+    d = a + _INVPHI * width
+    fc, fd = fn(c, rows), fn(d, rows)
+    # brackets only shrink, so no search can stop while every width exceeds
+    # twice the largest first threshold; the exact test runs after that
+    sure = 2.0 * rel_tol * max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
+    while True:
+        if width.min() <= sure:
+            live = width > rel_tol * np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
+            if not live.all():
+                done = ~live
+                left = fc[done] <= fd[done]
+                x_min[rows[done]] = np.where(left, c[done], d[done])
+                f_min[rows[done]] = np.where(left, fc[done], fd[done])
+                rows, a, b, c, d, fc, fd = (v[live] for v in (rows, a, b, c, d, fc, fd))
+                if rows.size == 0:
+                    return x_min, f_min
+        # fc <= fd: the minimum is left of d, so [a, d] with c as its new d;
+        # else [c, b] with d as its new c; one new point per bracket
+        left = fc <= fd
+        a = np.where(left, a, c)
+        b = np.where(left, d, b)
+        width = b - a
+        step = _INVPHI * width
+        x = np.where(left, b - step, a + step)
+        fx = fn(x, rows)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
 
 
 # ----------------------------------------------------------------------
@@ -330,64 +359,108 @@ def check_envelope_factor_monotone(sigma: float, t_max: float = 200.0, nt: int =
 # infimum of the coefficient-bound summand
 # ----------------------------------------------------------------------
 
-def _inf_summand_log(s: float, r1: float, t: np.ndarray) -> np.ndarray:
+_N_CAP = 1_000_000      # last N of the discrete scan
+
+
+def _inf_summand_log(log_s, r1: float, t: np.ndarray) -> np.ndarray:
+    """log of s^{-t} (2t/log t)^{t(1-1/log t)} r1^{t/log t}, given log s."""
     lt = np.log(t)
-    return (-t * math.log(s)
+    return (-t * log_s
             + t * (1.0 - 1.0 / lt) * np.log(2.0 * t / lt)
             + (t / lt) * math.log(r1))
 
 
+def _infimum_logs(s: np.ndarray, r1: float, sigma: float, domain: int,
+                  n_cap: int) -> np.ndarray:
+    """log inf_t of the summand for every s in the array ``s`` (one pass).
+
+    Each element stops by its own test and sees the same float operations
+    as a search for that s alone.
+    """
+    if np.any(s < 10):
+        raise ValueError("the estimate needs s >= 10")
+    if r1 <= 0 or sigma <= 0:
+        raise ValueError("r1 and sigma must be positive")
+    # math.log, not np.log: the two differ in the last bit on some inputs
+    log_s = np.array([math.log(v) for v in s.tolist()])
+    if domain == 1:
+        return _discrete_infimum(log_s, r1, sigma, n_cap)
+    if domain == 2:
+        return _continuum_infimum(log_s, r1)
+    raise ValueError("domain must be 1 or 2")
+
+
+def _discrete_infimum(log_s: np.ndarray, r1: float, sigma: float,
+                      n_cap: int) -> np.ndarray:
+    """Scan t = N sigma >= e in chunks of 512 until the summand rises twice
+    in a row; the minimum so far is then the exact discrete minimum."""
+    out = np.empty(log_s.size)
+    todo = np.arange(log_s.size)
+    best = np.full(log_s.size, math.inf)
+    prev = np.full(log_s.size, math.inf)
+    rising = np.zeros(log_s.size, dtype=bool)   # the last step was a rise
+    n = max(1, math.ceil(_E / sigma))
+    chunk = 512
+    while n <= n_cap:
+        ns = np.arange(n, min(n + chunk, n_cap + 1))
+        vals = _inf_summand_log(log_s[:, None], r1, ns * sigma)
+        up = np.concatenate([(vals[:, 0] > prev)[:, None],
+                             vals[:, 1:] > vals[:, :-1]], axis=1)
+        stop = up & np.concatenate([rising[:, None], up[:, :-1]], axis=1)
+        hit = stop.any(axis=1)
+        last = np.where(hit, stop.argmax(axis=1), ns.size - 1)
+        running = np.minimum.accumulate(vals, axis=1)
+        best = np.minimum(best, running[np.arange(last.size), last])
+        out[todo[hit]] = best[hit]
+        keep = ~hit
+        todo, log_s, best = todo[keep], log_s[keep], best[keep]
+        prev, rising = vals[keep, -1], up[keep, -1]
+        if todo.size == 0:
+            return out
+        n += chunk
+    raise EnvelopeSearchError(
+        f"summand still decreasing at N = {n_cap}; raise the cap")
+
+
+def _continuum_infimum(log_s: np.ndarray, r1: float) -> np.ndarray:
+    """Scan log t from 1 in steps of 0.25 while the summand falls, then
+    golden-section on the last three scan points (on the first step alone
+    when it already rises: the summand falls at t = e for every s >= 10)."""
+    def phi(log_t: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        t = np.array([math.exp(v) for v in log_t.tolist()])
+        return _inf_summand_log(log_s[rows], r1, t)
+
+    step = 0.25
+    rows = np.arange(log_s.size)
+    # the last three scan points and the last two values of every scan
+    xb = np.full(log_s.size, math.log(_E))
+    xa, xc = xb.copy(), xb + step
+    fb, fc = phi(xb, rows), phi(xc, rows)
+    live = np.nonzero(fc < fb)[0]
+    while live.size:
+        x = xc[live] + step
+        fx = phi(x, live)
+        xa[live], xb[live], xc[live] = xb[live], xc[live], x
+        fb[live], fc[live] = fc[live], fx
+        if np.any(x > 50.0):  # t beyond exp(50): cannot happen for s >= 10
+            raise EnvelopeSearchError("bracket scan ran away; check parameters")
+        live = live[fc[live] < fb[live]]
+    _, fmin = _golden_min(phi, xa, xc)
+    return np.minimum(fmin, fb)
+
+
 def infimum_coeff_bound(s: float, r1: float, sigma: float = 1.0, domain: int = 2,
-                        n_cap: int = 1_000_000) -> LogScalar:
+                        n_cap: int = _N_CAP) -> LogScalar:
     """inf over t of s^{-t} (2t/log t)^{t(1-1/log t)} r1^{t/log t}.
 
     ``domain`` 1 restricts t to multiples of sigma at or above e (exact
     discrete minimum); 2 minimizes over the continuum [e, inf) by a scan
-    bracket plus golden-section on log t.  Requires s >= 10.
+    bracket plus golden-section on log t.  Requires s >= 10.  This is the
+    one-element case of the array search that ``check_infimum_bound`` runs
+    over its whole s-grid at once.
     """
-    if s < 10:
-        raise ValueError("the estimate needs s >= 10")
-    if r1 <= 0 or sigma <= 0:
-        raise ValueError("r1 and sigma must be positive")
-    if domain == 1:
-        n0 = max(1, math.ceil(_E / sigma))
-        best = math.inf
-        rises = 0
-        prev = math.inf
-        n = n0
-        chunk = 512
-        while n <= n_cap:
-            ns = np.arange(n, min(n + chunk, n_cap + 1))
-            vals = _inf_summand_log(s, r1, ns * sigma)
-            for v in vals:
-                v = float(v)
-                best = min(best, v)
-                rises = rises + 1 if v > prev else 0
-                prev = v
-                if rises >= 2:
-                    return LogScalar.from_log(best)
-            n += chunk
-        raise RuntimeError(
-            f"summand still decreasing at N = {n_cap}; raise the cap")
-    if domain == 2:
-        def phi(log_t):
-            return float(_inf_summand_log(s, r1, np.array([math.exp(log_t)]))[0])
-
-        lo = math.log(_E)
-        step = 0.25
-        xs = [lo, lo + step]
-        fs = [phi(xs[0]), phi(xs[1])]
-        if fs[1] >= fs[0]:
-            # increasing from the boundary: min at t = e
-            return LogScalar.from_log(fs[0])
-        while fs[-1] < fs[-2]:
-            xs.append(xs[-1] + step)
-            fs.append(phi(xs[-1]))
-            if xs[-1] > 50.0:  # t beyond exp(50): cannot happen for s >= 10
-                raise RuntimeError("bracket scan ran away; check parameters")
-        _, fmin = _golden_min(phi, xs[-3] if len(xs) >= 3 else lo, xs[-1])
-        return LogScalar.from_log(min(fmin, min(fs)))
-    raise ValueError("domain must be 1 or 2")
+    return LogScalar.from_log(
+        float(_infimum_logs(np.array([float(s)]), r1, sigma, domain, n_cap)[0]))
 
 
 def check_infimum_bound(r1_values=(0.5, 1.0, 2.0), s_lo: float = 10.0,
@@ -398,6 +471,8 @@ def check_infimum_bound(r1_values=(0.5, 1.0, 2.0), s_lo: float = 10.0,
     Checks the continuum infimum never exceeds the discrete one, fits r2 per
     (r1, domain) by maximizing (inf * s^{s/2})^{1/s}, and passes when every
     fitted r2 is stable (<= threshold drift) under doubling the s-extent.
+    Each (r1, domain) pair is one array search over the whole extended
+    s-grid, with the values ``infimum_coeff_bound`` gives for each s.
     """
     s_grid = np.unique(np.round(np.geomspace(s_lo, s_hi, ns)).astype(int)).astype(float)
     s_grid_ext = np.unique(np.concatenate([s_grid, 2.0 * s_grid]))
@@ -408,8 +483,10 @@ def check_infimum_bound(r1_values=(0.5, 1.0, 2.0), s_lo: float = 10.0,
     for r1 in r1_values:
         logs = {}
         for j in (1, 2):
-            logs[j] = {float(s): infimum_coeff_bound(float(s), r1, sigma, domain=j).log_magnitude
-                       for s in s_grid_ext}
+            vals = _infimum_logs(s_grid_ext, r1, sigma, j, _N_CAP)
+            # the log values infimum_coeff_bound reports for each s
+            logs[j] = {float(s): LogScalar.from_log(float(v)).log_magnitude
+                       for s, v in zip(s_grid_ext, vals)}
         for s in s_grid_ext:
             if logs[2][s] > logs[1][s] + 1e-9:
                 inclusion_ok = False
@@ -463,10 +540,11 @@ def _log_max_peak_term(r: float, t: float) -> float:
         xs.append(xs[-1] + step)
         fs.append(g(xs[-1]))
         if xs[-1] > 60.0:
-            raise RuntimeError(f"peak-term maximizer does not bracket for r={r}, t={t}")
+            raise EnvelopeSearchError(f"peak-term maximizer does not bracket for r={r}, t={t}")
     lo = xs[-3] if len(xs) >= 3 else 0.0
-    _, neg = _golden_min(lambda u: -g(u), lo, xs[-1])
-    return max(-neg, max(fs))
+    _, neg = _golden_min(lambda u, rows: np.array([-g(v) for v in u.tolist()]),
+                         [lo], [xs[-1]])
+    return max(-float(neg[0]), max(fs))
 
 
 def check_peak_term_bounded(r: float, t_grid=(10.0, 20.0, 40.0, 80.0, 160.0),

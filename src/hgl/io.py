@@ -109,14 +109,15 @@ def load_samples_csv(path):
 
 
 def norm_sequence_csv(seq: NormSequence, config_line: str = "") -> str:
-    """CSV text with columns N, log_norm, norm_kind; log of a zero norm is -inf."""
+    """CSV text with columns N, log_norm, norm_kind; the log of a zero norm
+    is an empty field (JSON reports write null there)."""
     lines = []
     if config_line:
         lines.append(f"# {config_line}")
     lines.append("N,log_norm,norm_kind")
     for n, v in seq.values:
-        log = v.log_magnitude if v.sign else -math.inf
-        lines.append(f"{n},{log!r},{seq.norm_kind}")
+        log = repr(v.log_magnitude) if v.sign else ""
+        lines.append(f"{n},{log},{seq.norm_kind}")
     return "\n".join(lines) + "\n"
 
 

@@ -161,7 +161,7 @@ class MixedNormParams:
     weight: Weight = field(default_factory=Weight)
 
     def __post_init__(self):
-        if self.p <= 0 or self.q <= 0:
+        if not (self.p > 0 and self.q > 0):
             raise ValueError("p and q must be positive (inf allowed)")
 
     def label(self) -> str:

@@ -121,6 +121,8 @@ class Preset:
         if name not in PRESET_NAMES:
             raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
         params = tuple(float(p) for p in rest.split(",") if p.strip()) if rest else ()
+        if not all(math.isfinite(v) for v in params):
+            raise ValueError(f"preset parameters must be finite, got {rest!r}")
         return cls(name=name, params=params)
 
 

@@ -219,7 +219,7 @@ def _grid_log_norms(series: HermiteSeries, powers, p: float, grid: GridSpec) -> 
         return np.full(len(powers), -math.inf)
     if p == math.inf:
         return _sup_log_norms(series, powers, grid)
-    if p < 1:
+    if not p >= 1:
         raise ValueError("p must be >= 1 (or inf)")
     d = series.dimension
     if d > 3:

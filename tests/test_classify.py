@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from hgl import (HermiteSeries, analyze, apply_H, classify, coeff_bound_from_norms,
                  cross_validate, estimate_sigma, fit_flat_sigma, fit_radius_from_norms,
@@ -229,3 +230,94 @@ class TestCertification:
         seq = norm_sequence(ground_state, 4, "l2", 1.0)
         with pytest.raises(ValueError):
             coeff_bound_from_norms(seq, 0)
+
+
+class TestMatchedRadiiOracle:
+    """Norm-to-radius inversion against the radius-r family, valued in mpmath.
+
+    The family is c_k = r^k k!^{-1/(2 sigma)}, k = 0..M, one coefficient per
+    shell with eigenvalue 2k + d, so log ||H^N c|| is
+    (1/2) log sum_k r^{2k} k!^{-1/sigma} (2k + d)^{2N}.
+    """
+
+    @staticmethod
+    def family_log_norm(mpmath, log_r, n, sigma, max_degree, dim):
+        with mpmath.workdps(40):
+            log_r = mpmath.mpf(log_r)
+            terms = [2 * k * log_r - mpmath.loggamma(k + 1) / sigma
+                     + 2 * n * mpmath.log(2 * k + dim) for k in range(max_degree + 1)]
+            top = max(terms)
+            return top / 2 + mpmath.log(mpmath.fsum(mpmath.exp(t - top) for t in terms)) / 2
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("sigma", [0.7, 1.0, 2.5])
+    @pytest.mark.parametrize("max_degree", [12, 200])
+    def test_returned_radius_reproduces_the_norm(self, dim, sigma, max_degree):
+        mpmath = pytest.importorskip("mpmath")
+        from hgl.classify import _matched_log_radii
+        cases = [(n, log_r) for n in (1, 6, 40) for log_r in (-3.0, 0.0, 3.0)]
+        powers = np.array([float(n) for n, _ in cases])
+        targets = np.array([float(self.family_log_norm(mpmath, log_r, n, sigma,
+                                                       max_degree, dim))
+                            for n, log_r in cases])
+        got = _matched_log_radii(targets, powers, sigma, max_degree, dim)
+        for n, target, log_r in zip(powers, targets, got):
+            back = self.family_log_norm(mpmath, float(log_r), int(n), sigma,
+                                        max_degree, dim)
+            assert abs(float(back) - target) <= 1e-10
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_targets_outside_the_range_clip_exactly(self, dim):
+        mpmath = pytest.importorskip("mpmath")
+        from hgl.classify import _matched_log_radii
+        sigma, max_degree = 1.0, 80
+        powers = np.array([1.0, 9.0, 50.0])
+        low = [float(self.family_log_norm(mpmath, -100.0, int(n), sigma, max_degree, dim))
+               for n in powers]
+        high = [float(self.family_log_norm(mpmath, 100.0, int(n), sigma, max_degree, dim))
+                for n in powers]
+        targets = np.array([v - 1.0 for v in low] + [v + 1.0 for v in high])
+        got = _matched_log_radii(targets, np.concatenate([powers, powers]), sigma,
+                                 max_degree, dim)
+        assert list(got) == [-100.0] * 3 + [100.0] * 3
+
+    @staticmethod
+    def bisect_one(target, n, sigma, max_degree, dim):
+        """The per-power loop the batched bisection replaced, as a reference."""
+        ks = np.arange(max_degree + 1, dtype=float)
+        terms = -gammaln(ks + 1.0) / sigma + 2.0 * float(n) * np.log(2.0 * ks + dim)
+
+        def gap(log_r):
+            m = terms + 2.0 * ks * log_r
+            hi = float(np.max(m))
+            return 0.5 * (hi + math.log(np.sum(np.exp(m - hi)))) - target
+
+        lo, hi = -100.0, 100.0
+        if gap(lo) >= 0.0:
+            return lo
+        if gap(hi) <= 0.0:
+            return hi
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if gap(mid) < 0.0:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_rows_match_the_scalar_loop_alone_and_in_a_batch(self, dim):
+        from hgl.classify import _matched_log_radii
+        rng = np.random.default_rng(dim)
+        powers = rng.integers(1, 120, size=400).astype(float)
+        # below the e^-100 family, inside the range, above the e^100 family
+        targets = rng.permutation(np.concatenate([rng.uniform(-50.0, 0.0, 40),
+                                                  rng.uniform(100.0, 15000.0, 320),
+                                                  rng.uniform(17500.0, 20000.0, 40)]))
+        batch = _matched_log_radii(targets, powers, 1.3, 80, dim)
+        assert np.any(batch == -100.0) and np.any(batch == 100.0)
+        rows = range(0, 400, 4)
+        alone = np.array([_matched_log_radii(targets[i:i + 1], powers[i:i + 1], 1.3, 80, dim)[0]
+                          for i in rows])
+        loop = np.array([self.bisect_one(targets[i], powers[i], 1.3, 80, dim) for i in rows])
+        assert alone.tobytes() == batch[::4].tobytes() == loop.tobytes()

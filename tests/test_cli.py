@@ -256,6 +256,19 @@ class TestVerifyLemmasCommand:
         assert run(["verify-lemmas"]) == 3
         capsys.readouterr()
 
+    def test_search_error_exits_3_with_one_line(self, monkeypatch, capsys):
+        import hgl.cli as cli
+
+        def no_bracket(**kwargs):
+            return cli.envelopes.infimum_coeff_bound(1e6, 1.0, domain=1, n_cap=50)
+
+        monkeypatch.setattr(cli.envelopes, "check_infimum_bound", no_bracket)
+        assert run(["verify-lemmas"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: EnvelopeSearchError: summand still decreasing "
+                                "at N = 50; raise the cap\n")
+
     def test_report_roundtrips_schema(self, tmp_path):
         out = tmp_path / "suites.json"
         run(["verify-lemmas", "--out", str(out)])
@@ -315,3 +328,102 @@ def test_overflow_is_input_error_with_one_line(argv, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+# One fixed argv per row across the five commands, the reproducers of past
+# defects included.  {name} stands for a coefficient file written by
+# _contract_files; the second column is the expected exit code.
+CONTRACT = [
+    ("analyze --preset gaussian:1.0 --max-degree 6", 0),
+    ("analyze --preset hermite:2,1 --dim 2", 0),
+    ("analyze --preset gaussian:1.0 --dim 3 --max-degree 4", 0),
+    ("analyze --input {zero}", 0),
+    ("analyze --preset nope:1", 2),
+    ("analyze --preset gaussian:inf", 2),
+    ("analyze --preset gaussian:1.0 --max-degree abc", 2),
+    ("analyze", 2),
+    ("classify --preset synthetic_flat:1,1,80 --sigma 1 --n-max 5", 0),
+    ("classify --preset synthetic_s:0.5,2,80", 0),
+    ("classify --preset finite_random:12,3 --dim 2 --sigma 1.5 --n-max 30", 0),
+    ("classify --preset hermite:7", 0),
+    ("classify --input {zero} --sigma 1 --n-max 5", 0),
+    ("classify --preset synthetic_flat:1,1e300,80 --sigma 1", 2),
+    ("classify --input {infinity} --sigma 1", 2),
+    ("classify --preset hermite:1 --format csv", 2),
+    ("classify --preset synthetic_flat:1,1,80 --sigma inf", 2),
+    ("classify --preset synthetic_flat:1,1,80 --sigma NaN", 2),
+    ("envelope --sigma 1 --n-max 40", 0),
+    ("envelope --s 0.5 --n-max 10 --format json", 0),
+    ("envelope --target coeff --sigma 2 --radius 3 --max-degree 8 --format json", 0),
+    ("envelope --target coeff --s 1e-300 --max-degree 5", 2),
+    ("envelope --radius -1", 2),
+    ("norms --preset synthetic_flat:1,1e300,80", 2),
+    ("norms --preset synthetic_flat:1,1,80 --norm linf --n-max 200", 0),
+    ("norms --preset synthetic_flat:1,1,80 --norm lp:3 --n-max 200", 0),
+    ("norms --preset synthetic_flat:1,1,12 --norm mod:2,2,const --n-max 200", 0),
+    ("norms --preset gaussian:1.0 --dim 2 --norm mod:2,2,const", 2),
+    ("norms --preset finite_random:20,7 --n-max 10 --format json", 0),
+    ("norms --input {zero} --n-max 3", 0),
+    ("norms --input {repeated} --norm l2 --n-max 3", 2),
+    ("norms --input {nan} --norm linf --n-max 3", 2),
+    ("norms --input {nan} --norm lp:3 --n-max 3", 2),
+    ("norms --preset gaussian:1.0 --norm lp:nan --n-max 3", 2),
+    ("norms --preset gaussian:1.0 --norm mod:2,2", 2),
+    ("verify-lemmas --t-max 400", 0),
+    ("verify-lemmas --t-min 2.0", 2),
+    ("verify-lemmas --t-max 8.0", 2),
+    ("verify-lemmas --t-max Infinity", 2),
+]
+
+
+@pytest.fixture(scope="module")
+def _contract_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("contract")
+    entries = {
+        "zero": "",
+        "repeated": '{"alpha": [0], "re": 1.0, "im": 0.0}, '
+                    '{"alpha": [0], "re": 5.0, "im": 0.0}',
+        "nan": '{"alpha": [0], "re": 1.0, "im": 0.0}, {"alpha": [1], "re": NaN, "im": 0.0}',
+        "infinity": '{"alpha": [2], "re": Infinity, "im": 0.0}',
+    }
+    paths = {}
+    for name, text in entries.items():
+        path = root / f"{name}.json"
+        path.write_text('{"d": 1, "max_degree": 2, "entries": [' + text + ']}')
+        paths[name] = str(path)
+    return paths
+
+
+def _assert_strict_output(out: str) -> None:
+    if out.startswith("{"):
+        def refuse(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        json.loads(out, parse_constant=refuse)
+        return
+    rows = [line for line in out.splitlines() if not line.startswith("#")]
+    assert rows, "no CSV rows"
+    for row in rows[1:]:
+        for item in row.split(","):
+            try:
+                value = float(item)
+            except ValueError:
+                continue
+            assert math.isfinite(value), row
+
+
+@pytest.mark.parametrize("argv,code", CONTRACT, ids=[a for a, _ in CONTRACT])
+def test_cli_contract(argv, code, _contract_files, capsys):
+    try:
+        got = run(argv.format(**_contract_files).split())
+    except SystemExit as exc:      # argparse usage errors
+        got = exc.code
+    captured = capsys.readouterr()
+    assert got in (0, 2, 3)
+    assert got == code
+    if got == 0:
+        _assert_strict_output(captured.out)
+    else:
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert captured.err.endswith("\n")

@@ -219,3 +219,202 @@ def test_infimum_cap_error_advises():
     import pytest as _pytest
     with _pytest.raises(RuntimeError, match="raise the cap"):
         infimum_coeff_bound(1e6, 1.0, sigma=1.0, domain=1, n_cap=50)
+
+
+class TestInfimumOracle:
+    """infimum_coeff_bound against 50-digit mpmath minima of the summand
+
+        f(t) = -t log s + t (1 - 1/log t) log(2t/log t) + (t/log t) log r1.
+
+    The continuum minimum is the root of the closed-form f'; the discrete one
+    is the least f(N sigma) around it, after checking that f' changes sign
+    once on [e, 20 t*], so that f falls before the root and rises after it.
+    """
+
+    S_VALUES = (10.0, 37.0, 1000.0, 2000.0)
+    R1_VALUES = (0.5, 1.0, 2.0)
+    # the first scan step from t = e already rises: the minimum lies in it
+    BOUNDARY = ((10.0, 3000.0), (10.0, 1e4))
+
+    @staticmethod
+    def summand(mpmath, t, s, r1):
+        lt = mpmath.log(t)
+        return (-t * mpmath.log(s) + t * (1 - 1 / lt) * mpmath.log(2 * t / lt)
+                + (t / lt) * mpmath.log(r1))
+
+    @staticmethod
+    def slope(mpmath, t, s, r1):
+        lt = mpmath.log(t)
+        u, du = t - t / lt, 1 - 1 / lt + 1 / lt**2
+        v, dv = mpmath.log(2 * t / lt), 1 / t - 1 / (t * lt)
+        return -mpmath.log(s) + du * v + u * dv + (1 / lt - 1 / lt**2) * mpmath.log(r1)
+
+    def minimizer(self, mpmath, s, r1):
+        e = mpmath.e
+        assert self.slope(mpmath, e, s, r1) < 0       # f falls at t = e for s >= 10
+        hi = 2 * e
+        while self.slope(mpmath, hi, s, r1) < 0:
+            hi *= 2
+        t_star = mpmath.findroot(lambda t: self.slope(mpmath, t, s, r1), (e, hi),
+                                 solver="illinois")
+        grid = [e * (20 * t_star / e) ** (mpmath.mpf(j) / 400) for j in range(401)]
+        signs = [self.slope(mpmath, t, s, r1) > 0 for t in grid]
+        assert sum(a != b for a, b in zip(signs, signs[1:])) == 1
+        return t_star
+
+    @pytest.mark.parametrize("s", S_VALUES)
+    @pytest.mark.parametrize("r1", R1_VALUES)
+    def test_continuum_minimum(self, s, r1):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            t_star = self.minimizer(mpmath, s, r1)
+            expected = float(self.summand(mpmath, t_star, s, r1))
+        for sigma in (1.0, 3.0):
+            got = infimum_coeff_bound(s, r1, sigma, domain=2).log_magnitude
+            assert abs(got - expected) <= 1e-9
+
+    @pytest.mark.parametrize("s", S_VALUES)
+    @pytest.mark.parametrize("r1", R1_VALUES)
+    @pytest.mark.parametrize("sigma", [1.0, 3.0])
+    def test_discrete_minimum(self, s, r1, sigma):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            n_star = float(self.minimizer(mpmath, s, r1)) / sigma
+            n0 = max(1, math.ceil(E / sigma))
+            ns = range(max(n0, math.floor(n_star) - 2), math.ceil(n_star) + 3)
+            expected = float(min(self.summand(mpmath, mpmath.mpf(n) * sigma, s, r1)
+                                 for n in ns))
+        got = infimum_coeff_bound(s, r1, sigma, domain=1).log_magnitude
+        assert abs(got - expected) <= 1e-9
+
+    @pytest.mark.parametrize("s,r1", BOUNDARY)
+    def test_minimum_next_to_the_boundary(self, s, r1):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            t_star = self.minimizer(mpmath, s, r1)
+            assert t_star < mpmath.exp(1.25)
+            expected = float(self.summand(mpmath, t_star, s, r1))
+            at_e = float(self.summand(mpmath, mpmath.e, s, r1))
+        got = infimum_coeff_bound(s, r1, 1.0, domain=2).log_magnitude
+        assert abs(got - expected) <= 1e-9
+        assert got < at_e - 0.05
+        # the discrete minimum sits on the first admissible point, N sigma = 3
+        with mpmath.workdps(50):
+            first = float(self.summand(mpmath, mpmath.mpf(3), s, r1))
+        for sigma in (1.0, 3.0):
+            d1 = infimum_coeff_bound(s, r1, sigma, domain=1).log_magnitude
+            assert abs(d1 - first) <= 1e-9
+            assert got <= d1
+
+
+class TestSearchFailures:
+    def test_discrete_cap_is_a_search_error(self):
+        from hgl import EnvelopeSearchError
+        with pytest.raises(EnvelopeSearchError, match="raise the cap"):
+            infimum_coeff_bound(1e6, 1.0, sigma=1.0, domain=1, n_cap=50)
+
+    def test_peak_term_without_bracket_is_a_search_error(self):
+        from hgl import EnvelopeSearchError
+        # at t = 1e30 the peak term still rises at s = e^60
+        with pytest.raises(EnvelopeSearchError, match="does not bracket"):
+            check_peak_term_bounded(1.0, t_grid=(1e30,))
+
+
+# The per-s scalar searches the array searches replaced, kept as the
+# reference they must match bit for bit.
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_scalar(fn, a, b, rel_tol=1e-10):
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = fn(c), fn(d)
+    while (b - a) > rel_tol * max(1.0, abs(a), abs(b)):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = fn(d)
+    return (c, fc) if fc <= fd else (d, fd)
+
+
+def _summand_scalar(s, r1, t):
+    lt = np.log(t)
+    return (-t * math.log(s) + t * (1.0 - 1.0 / lt) * np.log(2.0 * t / lt)
+            + (t / lt) * math.log(r1))
+
+
+def _infimum_scalar(s, r1, sigma, domain):
+    if domain == 1:
+        best, rises, prev = math.inf, 0, math.inf
+        n = max(1, math.ceil(E / sigma))
+        while True:
+            for v in _summand_scalar(s, r1, np.arange(n, n + 512) * sigma):
+                v = float(v)
+                best = min(best, v)
+                rises = rises + 1 if v > prev else 0
+                prev = v
+                if rises >= 2:
+                    return best
+            n += 512
+
+    def phi(log_t):
+        return float(_summand_scalar(s, r1, np.array([math.exp(log_t)]))[0])
+
+    xs = [1.0, 1.25]
+    fs = [phi(1.0), phi(1.25)]
+    while fs[-1] < fs[-2]:
+        xs.append(xs[-1] + 0.25)
+        fs.append(phi(xs[-1]))
+    _, fmin = _golden_scalar(phi, xs[-3] if len(xs) >= 3 else xs[0], xs[-1])
+    return min(fmin, min(fs))
+
+
+@pytest.mark.parametrize("sigma", [1.0, 3.0])
+@pytest.mark.parametrize("domain", [1, 2])
+def test_array_search_matches_the_scalar_loop(sigma, domain):
+    from hgl.envelopes import _infimum_logs
+    s_grid = np.unique(np.round(np.geomspace(10.0, 1e3, 16)).astype(int)).astype(float)
+    s_ext = np.unique(np.concatenate([s_grid, 2.0 * s_grid]))
+    for r1 in (0.01, 1.0, 50.0, 1e4):
+        got = _infimum_logs(s_ext, r1, sigma, domain, 1_000_000)
+        want = np.array([_infimum_scalar(float(s), r1, sigma, domain) for s in s_ext])
+        assert got.tobytes() == want.tobytes()
+
+
+def test_peak_term_golden_matches_the_scalar_loop():
+    from hgl.envelopes import _log_max_peak_term
+    for r in (0.2, 2.0):
+        for t in (E**2, 40.0, 320.0):
+            log2re = math.log(2.0 * r * E)
+
+            def neg_g(u):
+                return -(2.0 * t * u + math.exp(u) * (log2re - u))
+
+            xs = [0.0, 0.5]
+            while neg_g(xs[-1]) < neg_g(xs[-2]):
+                xs.append(xs[-1] + 0.5)
+            _, neg = _golden_scalar(neg_g, xs[-3] if len(xs) >= 3 else 0.0, xs[-1])
+            want = max(-neg, max(-neg_g(x) for x in xs))
+            assert _log_max_peak_term(r, t) == want
+
+
+def test_golden_matches_the_scalar_loop_on_mixed_brackets():
+    from hgl.envelopes import _golden_min
+    rng = np.random.default_rng(11)
+    # widths and positions over many scales, so searches stop at different steps
+    lo = rng.uniform(-1.0, 1.0, 200) * 10.0 ** rng.uniform(-3, 6, 200)
+    hi = lo + 10.0 ** rng.uniform(-4, 5, 200)
+    centre = lo + rng.uniform(0.0, 1.0, 200) * (hi - lo)
+
+    def quad(x, rows):
+        return (x - centre[rows]) * (x - centre[rows])
+
+    x, f = _golden_min(quad, lo, hi)
+    for i in range(200):
+        want = _golden_scalar(lambda u: (u - centre[i]) * (u - centre[i]), lo[i], hi[i])
+        assert (x[i], f[i]) == want
