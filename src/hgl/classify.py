@@ -71,9 +71,6 @@ class ShellProfile:
         if vals.shape != (self.max_degree + 1,):
             raise ValueError("log_values must have length max_degree + 1")
 
-    def value(self, k: int) -> LogScalar:
-        return LogScalar.from_log(self.log_values[k])
-
     def nonzero_shells(self, k_min: int = 0) -> np.ndarray:
         ks = np.nonzero(self.log_values > -math.inf)[0]
         return ks[ks >= k_min]
@@ -133,12 +130,11 @@ def _nofit(scale_kind: str, scale: float, reason: str) -> EnvelopeFit:
 
 def shell_profile(series: HermiteSeries) -> ShellProfile:
     """Reduce a coefficient tensor to per-shell maxima of |c_alpha|."""
-    logs = np.full(series.max_degree + 1, -math.inf)
-    for alpha, c in series.items():
-        a = abs(c)
-        if a > 0:
-            k = alpha.order
-            logs[k] = max(logs[k], math.log(a))
+    top = np.zeros(series.max_degree + 1)
+    vals = series.values
+    np.maximum.at(top, series.indices.sum(axis=1), np.hypot(vals.real, vals.imag))
+    # log is monotone, so the log of each shell maximum is the maximum log
+    logs = np.array([math.log(a) if a > 0 else -math.inf for a in top.tolist()])
     return ShellProfile(dimension=series.dimension, max_degree=series.max_degree,
                         log_values=logs)
 
@@ -175,11 +171,10 @@ def _window_fit(ks: np.ndarray, ys: np.ndarray, decay_power: float | None = None
     return float(coef[0]), float(coef[-1]), resid
 
 
-def _split_windows(ks: np.ndarray):
-    n = ks.size
-    w1 = ks[n // 2:]
-    w0 = ks[n // 4: n // 4 + w1.size]
-    return w0, w1
+def _split_windows(n: int):
+    """Slices (w0, w1) of a sequence of n: w1 the tail half, w0 as long and
+    starting a quarter of the way in."""
+    return slice(n // 4, n // 4 + n - n // 2), slice(n // 2, n)
 
 
 def _drift_verdict(ks: np.ndarray, log_radii: np.ndarray, scale_kind: str,
@@ -192,17 +187,14 @@ def _drift_verdict(ks: np.ndarray, log_radii: np.ndarray, scale_kind: str,
     universal flavor (coefficient/norm radius fits) and +1 when divergence to
     +inf does (classical-scale exponent fits).
     """
-    by_k = {int(k): y for k, y in zip(ks, log_radii)}
-    w0, w1 = _split_windows(ks)
-    y1 = np.array([by_k[int(k)] for k in w1])
-    y0 = np.array([by_k[int(k)] for k in w0])
-    lim1, drift, resid = _window_fit(w1, y1, decay_power)
-    lim0, _, _ = _window_fit(w0, y0, decay_power)
+    w0, w1 = _split_windows(ks.size)
+    lim1, drift, resid = _window_fit(ks[w1], log_radii[w1], decay_power)
+    lim0, _, _ = _window_fit(ks[w0], log_radii[w0], decay_power)
     stability = lim1 - lim0
     peak = float(np.max(log_radii))
 
     fit = dict(scale_kind=scale_kind, scale=scale, radius=LogScalar.from_log(lim1),
-               fit_window=(int(w1[0]), int(w1[-1])), drift=drift,
+               fit_window=(int(ks[w1][0]), int(ks[w1][-1])), drift=drift,
                stability=stability, orders=ks, log_radii=log_radii,
                residuals=resid)
     signed_drift = collapse_sign * drift
@@ -272,7 +264,7 @@ def estimate_sigma(profile: ShellProfile) -> float | None:
     ks = profile.nonzero_shells(k_min=3)
     if ks.size < MIN_SHELLS:
         return None
-    _, w1 = _split_windows(ks)
+    w1 = ks[_split_windows(ks.size)[1]]
     k = w1.astype(float)
     y = -profile.log_values[w1]
     X = np.stack([gammaln(k + 1.0), k, np.ones_like(k)], axis=1)
@@ -294,7 +286,7 @@ def estimate_s(profile: ShellProfile) -> float | None:
     ks = profile.nonzero_shells(k_min=3)
     if ks.size < MIN_SHELLS:
         return None
-    _, w1 = _split_windows(ks)
+    w1 = ks[_split_windows(ks.size)[1]]
     neg_log = -profile.log_values[w1]
     keep = neg_log > 0
     if np.count_nonzero(keep) < max(4, MIN_SHELLS // 2):

@@ -166,12 +166,15 @@ def cmd_envelope(args) -> int:
     rows = []
     skipped = 0
     r = args.radius
+    sigma = args.sigma if args.sigma is not None else 1.0
+    # up front: the flat norm table skips rows N*sigma <= e, and their checks
+    if args.s is None and (sigma <= 0 or r <= 0):
+        raise InputFormatError("sigma and r must be positive")
     if args.target == "coeff":
         for k in range(0, args.max_degree + 1):
             if args.s is not None:
                 v = envelopes.envelope_coeff_s((k,), args.s, r)
             else:
-                sigma = args.sigma if args.sigma is not None else 1.0
                 v = envelopes.envelope_coeff_flat((k,), sigma, r)
             rows.append((k, v.log_magnitude))
         header = "k,log_envelope"
@@ -183,7 +186,6 @@ def cmd_envelope(args) -> int:
                     continue
                 rows.append((n, envelopes.envelope_norm_s(n, args.s, r).log_magnitude))
             else:
-                sigma = args.sigma if args.sigma is not None else 1.0
                 if n < 1 or n * sigma <= math.e:
                     skipped += 1
                     continue

@@ -323,23 +323,17 @@ def check_envelope_factor_monotone(sigma: float, t_max: float = 200.0, nt: int =
     sigma0s = np.linspace(0.0, sigma, n_sigma0)
     worst = -math.inf
     witness = {}
+    # (branch, r, radius on the right-hand side)
+    branches = ([("r_ge_1", r, r) for r in r_up]
+                + [("r_le_1", r, r ** ((_E - 1.0) / _E)) for r in r_down])
     for s0 in sigma0s:
-        for r in r_up:
+        for branch, r, r_right in branches:
             diffs = np.array([envelope_factor(r, t).log_magnitude
-                              - envelope_factor(r, t + s0).log_magnitude for t in ts])
+                              - envelope_factor(r_right, t + s0).log_magnitude for t in ts])
             i = int(np.argmax(diffs))
             if diffs[i] > worst:
                 worst = float(diffs[i])
-                witness = {"branch": "r_ge_1", "r": float(r), "t": float(ts[i]),
-                           "sigma0": float(s0)}
-        for r in r_down:
-            shrunk = r ** ((_E - 1.0) / _E)
-            diffs = np.array([envelope_factor(r, t).log_magnitude
-                              - envelope_factor(shrunk, t + s0).log_magnitude for t in ts])
-            i = int(np.argmax(diffs))
-            if diffs[i] > worst:
-                worst = float(diffs[i])
-                witness = {"branch": "r_le_1", "r": float(r), "t": float(ts[i]),
+                witness = {"branch": branch, "r": float(r), "t": float(ts[i]),
                            "sigma0": float(s0)}
     passed = worst <= slack
     return BoundCheckReport(

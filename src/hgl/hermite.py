@@ -72,13 +72,7 @@ def hermite_eval_multi(alpha, x) -> float:
     pt = np.atleast_1d(np.asarray(x, dtype=float))
     if len(alpha) != pt.size:
         raise ValueError(f"index has length {len(alpha)} but point has length {pt.size}")
-    out = 1.0
-    for a, xi in zip(alpha, pt):
-        out *= hermite_eval(a, float(xi))
-        if out == 0.0:
-            # the remaining factors are bounded, so the product stays 0
-            break
-    return out
+    return math.prod((hermite_eval(a, xi) for a, xi in zip(alpha, pt.tolist())), start=1.0)
 
 
 def hermite_matrix(kmax: int, x) -> np.ndarray:

@@ -14,11 +14,12 @@ import json
 import math
 import os
 import tempfile
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 
-from .series import HermiteSeries, MultiIndex
+from .series import HermiteSeries
 from .spectral import NormSequence
 from .logscalar import LogScalar
 
@@ -46,8 +47,10 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def series_to_json_dict(series: HermiteSeries) -> dict:
-    entries = [{"alpha": list(a), "re": c.real, "im": c.imag}
-               for a, c in sorted(series.items())]
+    order = np.lexsort(series.indices.T[::-1])     # entries sorted by alpha
+    vals = series.values[order]
+    entries = [{"alpha": a, "re": re, "im": im} for a, re, im in
+               zip(series.indices[order].tolist(), vals.real.tolist(), vals.imag.tolist())]
     return {"d": series.dimension, "max_degree": series.max_degree, "entries": entries}
 
 
@@ -66,18 +69,15 @@ def load_series(path) -> HermiteSeries:
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"{path}: not valid JSON ({exc})") from exc
     try:
-        d = int(data["d"])
-        max_degree = int(data["max_degree"])
-        coeffs = {}
-        for i, entry in enumerate(data["entries"]):
-            alpha = MultiIndex(entry["alpha"])
-            if alpha in coeffs:
-                raise ValueError(f"entry {i} repeats alpha {list(alpha)}")
-            coeffs[alpha] = complex(float(entry["re"]), float(entry.get("im", 0.0)))
+        entries = data["entries"]
+        values = np.empty(len(entries), dtype=complex)
+        values.real = [float(entry["re"]) for entry in entries]
+        values.imag = [float(entry.get("im", 0.0)) for entry in entries]
+        return HermiteSeries.from_arrays(
+            int(data["d"]), int(data["max_degree"]), [entry["alpha"] for entry in entries],
+            values, str(data.get("truncation_tag", "file")))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"{path}: bad coefficient entry ({exc})") from exc
-    return HermiteSeries(dimension=d, max_degree=max_degree, coefficients=coeffs,
-                         truncation_tag=str(data.get("truncation_tag", "file")))
 
 
 def load_samples_csv(path):
@@ -110,15 +110,16 @@ def load_samples_csv(path):
 
 def norm_sequence_csv(seq: NormSequence, config_line: str = "") -> str:
     """CSV text with columns N, log_norm, norm_kind; the log of a zero norm
-    is an empty field (JSON reports write null there)."""
-    lines = []
+    is an empty field (JSON reports write null there), and a norm kind with
+    commas (``mod:p,q,w``) is quoted."""
+    out = StringIO()
     if config_line:
-        lines.append(f"# {config_line}")
-    lines.append("N,log_norm,norm_kind")
-    for n, v in seq.values:
-        log = repr(v.log_magnitude) if v.sign else ""
-        lines.append(f"{n},{log},{seq.norm_kind}")
-    return "\n".join(lines) + "\n"
+        out.write(f"# {config_line}\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(("N", "log_norm", "norm_kind"))
+    writer.writerows((n, repr(v.log_magnitude) if v.sign else "", seq.norm_kind)
+                     for n, v in seq.values)
+    return out.getvalue()
 
 
 def save_norm_sequence_csv(seq: NormSequence, path, config_line: str = "") -> None:

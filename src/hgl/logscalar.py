@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import total_ordering
 
 __all__ = ["LogScalar", "LogRangeError", "LOG_FLOAT_LIMIT"]
 
@@ -22,6 +23,7 @@ class LogRangeError(OverflowError):
     """Raised when a LogScalar cannot be represented as a plain float."""
 
 
+@total_ordering
 @dataclass(frozen=True)
 class LogScalar:
     """A real number stored as sign and natural log of its magnitude.
@@ -154,9 +156,6 @@ class LogScalar:
             return NotImplemented
         return self + (-other)
 
-    def sqrt(self) -> "LogScalar":
-        return self ** 0.5
-
     # -- ordering ----------------------------------------------------
 
     def _key(self):
@@ -166,15 +165,6 @@ class LogScalar:
 
     def __lt__(self, other: "LogScalar") -> bool:
         return self._key() < other._key()
-
-    def __le__(self, other: "LogScalar") -> bool:
-        return self._key() <= other._key()
-
-    def __gt__(self, other: "LogScalar") -> bool:
-        return self._key() > other._key()
-
-    def __ge__(self, other: "LogScalar") -> bool:
-        return self._key() >= other._key()
 
     def __repr__(self) -> str:
         if self.sign == 0:

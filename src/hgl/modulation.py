@@ -27,8 +27,8 @@ from .classify import EnvelopeFit, fit_radius_from_norms
 from .hermite import hermite_matrix
 from .quadrature import gauss_hermite_rule
 from .series import HermiteSeries
-from .spectral import (GridSpec, NormSequence, _as_log_scalar, _dense_coefficients,
-                       _grid_log_norms, _powered_blocks, turning_point_extent)
+from .spectral import (GridSpec, NormSequence, _as_log_scalar, _grid_log_norms,
+                       _powered_blocks, turning_point_extent)
 
 __all__ = ["Weight", "StftGrid", "StftField", "MixedNormParams", "stft",
            "modulation_norm", "norm_sequence_mod", "norm_equiv_harness",
@@ -246,7 +246,7 @@ def stft(series: HermiteSeries, grid: StftGrid | None = None) -> StftField:
     grid = grid or StftGrid.default_for(series)
     x, xi = _checked_axes(series, grid)
     smap = _StftAxisMap(series, grid)
-    return StftField(series.dimension, smap.field(_dense_coefficients(series)), x, xi, grid)
+    return StftField(series.dimension, smap.field(series.dense()), x, xi, grid)
 
 
 def modulation_norm(fld: StftField, params: MixedNormParams) -> LogScalar:

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 from scipy.special import gammaln
 
-from .series import HermiteSeries, MultiIndex, analyze
+from .series import HermiteSeries, MultiIndex, _degree_mask, analyze
 
 __all__ = ["Preset", "build_preset", "gaussian_callable", "modulated_gaussian_callable",
            "synthetic_flat", "synthetic_s", "finite_random", "PRESET_NAMES"]
@@ -58,46 +59,34 @@ def synthetic_flat(sigma: float, r: float, max_degree: int) -> HermiteSeries:
     documented ranges (max_degree <= 200, sigma >= 1/4) none are.
     """
     _check_synthetic(sigma, r, max_degree)
-    coeffs = {}
-    for k in range(max_degree + 1):
-        log_c = k * math.log(r) - gammaln(k + 1) / (2.0 * sigma)
-        if log_c > -700.0:
-            coeffs[MultiIndex((k,))] = math.exp(log_c)
-    return HermiteSeries(dimension=1, max_degree=max_degree, coefficients=coeffs)
+    k = np.arange(max_degree + 1)
+    return _line_series(k * math.log(r) - gammaln(k + 1) / (2.0 * sigma), max_degree)
 
 
 def synthetic_s(s: float, r: float, max_degree: int) -> HermiteSeries:
     """Exact classical-scale generator c_k = exp(-r k^{1/(2s)}), dimension 1."""
     _check_synthetic(s, r, max_degree)
-    coeffs = {}
-    for k in range(max_degree + 1):
-        log_c = -r * k ** (1.0 / (2.0 * s))
-        if log_c > -700.0:
-            coeffs[MultiIndex((k,))] = math.exp(log_c)
-    return HermiteSeries(dimension=1, max_degree=max_degree, coefficients=coeffs)
+    powers = map(math.pow, range(max_degree + 1), repeat(1.0 / (2.0 * s)))
+    return _line_series(-r * np.array(list(powers)), max_degree)
+
+
+def _line_series(log_c: np.ndarray, max_degree: int) -> HermiteSeries:
+    """Line series c_k = exp(log_c[k]) without the entries with log_c <= -700;
+    math.exp keeps the values bitwise per-entry values."""
+    keep = np.flatnonzero(log_c > -700.0)
+    return HermiteSeries.from_arrays(1, max_degree, keep[:, None],
+                                     list(map(math.exp, log_c[keep].tolist())))
 
 
 def finite_random(max_degree: int, seed: int, dimension: int = 1) -> HermiteSeries:
-    """Random finite combination: standard complex gaussians on |alpha| <= M."""
+    """Random finite combination: standard complex gaussians on |alpha| <= M,
+    drawn (re, im) per index with the indices in lexicographic order."""
     if not 0 <= max_degree <= _MAX_SYNTHETIC_DEGREE:
         raise ValueError(f"max_degree must be in [0, {_MAX_SYNTHETIC_DEGREE}]")
-    rng = np.random.default_rng(seed)
-    coeffs = {}
-    for alpha in _indices_up_to(max_degree, dimension):
-        re, im = rng.standard_normal(2)
-        coeffs[MultiIndex(alpha)] = complex(re, im)
-    return HermiteSeries(dimension=dimension, max_degree=max_degree, coefficients=coeffs)
-
-
-def _indices_up_to(max_degree: int, dimension: int):
-    if dimension == 1:
-        for k in range(max_degree + 1):
-            yield (k,)
-    else:
-        from itertools import product
-        for alpha in product(range(max_degree + 1), repeat=dimension):
-            if sum(alpha) <= max_degree:
-                yield alpha
+    indices = np.argwhere(_degree_mask(max_degree, dimension))
+    draws = np.random.default_rng(seed).standard_normal((len(indices), 2))
+    return HermiteSeries.from_arrays(dimension, max_degree, indices,
+                                     draws.view(complex)[:, 0])
 
 
 def _check_synthetic(scale: float, r: float, max_degree: int) -> None:
@@ -137,8 +126,7 @@ def build_preset(preset: Preset, dimension: int = 1, max_degree: int = 10,
     name, p = preset.name, preset.params
     if name == "hermite":
         alpha = MultiIndex(int(v) for v in p) if p else MultiIndex((0,))
-        return HermiteSeries(dimension=len(alpha), max_degree=alpha.order,
-                             coefficients={alpha: 1.0})
+        return HermiteSeries.from_arrays(len(alpha), alpha.order, [alpha], [1.0])
     if name == "synthetic_flat":
         sigma, r, M = (list(p) + [1.0, 1.0, 80])[:3]
         return synthetic_flat(sigma, r, int(M))

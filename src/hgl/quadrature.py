@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -23,9 +24,10 @@ from .hermite import _recurrence, log_abs_hermite_sumsq
 
 __all__ = ["QuadratureRule", "gauss_hermite_rule", "QuadratureError"]
 
-_SQRT_PI = math.sqrt(math.pi)
 _MAX_ORDER = 2000
 _NEWTON_MAX_ITER = 60
+# rules kept by gauss_hermite_rule; one of order 2000 holds about 50 kB
+_RULE_CACHE_SIZE = 64
 
 
 class QuadratureError(RuntimeError):
@@ -58,8 +60,10 @@ class QuadratureRule:
         return np.exp(self.log_weights + self.nodes**2)
 
 
+@lru_cache(maxsize=_RULE_CACHE_SIZE)
 def gauss_hermite_rule(n: int) -> QuadratureRule:
-    """Build the n-point Gauss-Hermite rule, 1 <= n <= 2000.
+    """The n-point Gauss-Hermite rule, 1 <= n <= 2000, built once per order
+    (rules are immutable) and shared by every caller.
 
     Raises QuadratureError naming the node index if a root fails to settle
     within the iteration budget.

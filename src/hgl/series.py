@@ -1,18 +1,17 @@
 """Finite Hermite coefficient tensors and the transforms to/from samples.
 
 A HermiteSeries is a sparse map from multi-indices alpha (|alpha| <= M) to
-complex coefficients; absent indices are zero.  ``analyze`` projects a
-callable onto the basis by tensor Gauss-Hermite quadrature and ``synthesize``
-evaluates the series pointwise.
+complex coefficients, stored as one index array and one value array; absent
+indices are zero.  ``analyze`` projects a callable onto the basis by tensor
+Gauss-Hermite quadrature and ``synthesize`` evaluates the series pointwise.
 """
 
 from __future__ import annotations
 
-import cmath
+from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import product
-from types import MappingProxyType
-from typing import Callable, Iterable, Mapping
+from itertools import repeat
+from typing import Callable, Iterable
 
 import numpy as np
 from scipy.special import gammaln
@@ -57,10 +56,38 @@ def _as_index(alpha, dimension: int) -> MultiIndex:
     return idx
 
 
+class _Coefficients(Mapping):
+    """Read-only alpha -> c view of an index array and a value array."""
+
+    def __init__(self, indices, values):
+        self._idx, self._vals = indices, values
+
+    def __getitem__(self, alpha):
+        if np.shape(alpha) == self._idx.shape[1:]:
+            for i in np.flatnonzero((self._idx == alpha).all(axis=1)):
+                return self._vals.item(i)
+        raise KeyError(alpha)
+
+    def __iter__(self):  # rows are validated, so MultiIndex's checks are skipped
+        return map(tuple.__new__, repeat(MultiIndex), self._idx.tolist())
+
+    def __len__(self) -> int:
+        return len(self._vals)
+
+    def items(self):  # one pass over the arrays instead of a lookup per key
+        return list(zip(self, self._vals.tolist()))
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
 @dataclass(frozen=True)
 class HermiteSeries:
     """Finite tensor of Hermite coefficients.
 
+    Entries are kept in the order given, as a read-only (n, d) int64 array
+    ``indices`` and a read-only (n,) complex array ``values``;
+    ``coefficients`` is a read-only mapping view of the two.
     ``truncation_tag`` records how the series was produced ("exact" for
     synthetic coefficient data, "quadrature(n=...)" for analyzed samples).
     """
@@ -71,20 +98,50 @@ class HermiteSeries:
     truncation_tag: str = "exact"
 
     def __post_init__(self):
-        if self.dimension < 1:
+        d, M = self.dimension, self.max_degree
+        if d < 1:
             raise ValueError("dimension must be >= 1")
-        if self.max_degree < 0:
+        if M < 0:
             raise ValueError("max_degree must be >= 0")
-        clean = {}
-        for alpha, c in self.coefficients.items():
-            idx = _as_index(alpha, self.dimension)
-            if idx.order > self.max_degree:
-                raise ValueError(f"index {tuple(idx)} exceeds max degree {self.max_degree}")
-            c = complex(c)
-            if not cmath.isfinite(c):
-                raise ValueError(f"coefficient at index {tuple(idx)} is not finite")
-            clean[idx] = c
-        object.__setattr__(self, "coefficients", MappingProxyType(clean))
+        entries = self.coefficients
+        if isinstance(entries, _Coefficients):
+            idx, vals = entries._idx, entries._vals
+        else:
+            idx, vals = [_as_index(alpha, d) for alpha in entries], list(entries.values())
+        # copies: the arrays of a series are its own
+        idx = np.array(idx, dtype=np.int64).reshape(-1, d)
+        vals = np.array(vals, dtype=complex)
+        if vals.shape != idx.shape[:1]:
+            raise ValueError(f"{idx.shape[0]} indices of dimension {d} do not match "
+                             f"values of shape {vals.shape}")
+        for bad, message in (((idx < 0).any(axis=1), "entries must be nonnegative, got {}"),
+                             (idx.sum(axis=1) > M, f"index {{}} exceeds max degree {M}"),
+                             (~np.isfinite(vals), "coefficient at index {} is not finite")):
+            if bad.any():
+                raise ValueError(message.format(tuple(idx[np.argmax(bad)].tolist())))
+        order = np.lexsort(idx.T[::-1])
+        repeats = (idx[order[1:]] == idx[order[:-1]]).all(axis=1)
+        if repeats.any():
+            # the sort is stable: each repeat lands after the entry it repeats
+            later = int(order[1:][repeats].min())
+            raise ValueError(f"entry {later} repeats alpha {idx[later].tolist()}")
+        idx.setflags(write=False)
+        vals.setflags(write=False)
+        object.__setattr__(self, "coefficients", _Coefficients(idx, vals))
+
+    @classmethod
+    def from_arrays(cls, dimension: int, max_degree: int, indices, values,
+                    truncation_tag: str = "exact") -> "HermiteSeries":
+        """Series of the entries indices[i] -> values[i], shapes (n, d) and (n,)."""
+        return cls(dimension, max_degree, _Coefficients(indices, values), truncation_tag)
+
+    @property
+    def indices(self) -> np.ndarray:
+        return self.coefficients._idx
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.coefficients._vals
 
     def coefficient(self, alpha) -> complex:
         """Stored coefficient, zero for absent indices."""
@@ -98,25 +155,26 @@ class HermiteSeries:
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coefficients.values())
+        return not self.values.any()
 
     def scaled(self, factor: complex) -> "HermiteSeries":
-        return HermiteSeries(
-            dimension=self.dimension,
-            max_degree=self.max_degree,
-            coefficients={a: c * factor for a, c in self.items()},
-            truncation_tag=self.truncation_tag,
-        )
-
-    def parseval_sum(self) -> float:
-        """Sum |c_alpha|^2 over stored indices (plain float; may underflow)."""
-        return float(sum(abs(c) ** 2 for c in self.coefficients.values()))
+        return HermiteSeries.from_arrays(self.dimension, self.max_degree, self.indices,
+                                         self.values * factor, self.truncation_tag)
 
     def degrees_per_axis(self) -> tuple:
-        """Largest entry per coordinate among stored indices."""
-        if not self.coefficients:
-            return (0,) * self.dimension
-        return tuple(max(a[i] for a in self.coefficients) for i in range(self.dimension))
+        """Largest entry per coordinate among stored indices (0 when none)."""
+        return tuple(self.indices.max(axis=0, initial=0).tolist())
+
+    def dense(self) -> np.ndarray:
+        """Coefficients as a dense complex array of shape (deg_i + 1 for each axis)."""
+        out = np.zeros(tuple(k + 1 for k in self.degrees_per_axis()), dtype=complex)
+        out[tuple(self.indices.T)] = self.values
+        return out
+
+
+def _degree_mask(max_degree: int, dimension: int) -> np.ndarray:
+    """|alpha| <= max_degree on the cube {0..max_degree}^dimension."""
+    return np.indices((max_degree + 1,) * dimension).sum(axis=0) <= max_degree
 
 
 def default_quad_order(max_degree: int) -> int:
@@ -170,14 +228,9 @@ def analyze(f: Callable, dimension: int, max_degree: int,
         tensor = np.tensordot(hmat, tensor, axes=([1], [dimension - 1]))
         # tensordot moves the contracted axis to the front; after d rounds
         # the axes are back in order
-    coeffs = {}
-    for alpha in product(range(max_degree + 1), repeat=dimension):
-        if sum(alpha) <= max_degree:
-            c = complex(tensor[alpha])
-            if c != 0:  # absent indices are implicitly zero; f = 0 gives {}
-                coeffs[MultiIndex(alpha)] = c
-    return HermiteSeries(dimension=dimension, max_degree=max_degree,
-                         coefficients=coeffs, truncation_tag=f"quadrature(n={n})")
+    keep = _degree_mask(max_degree, dimension) & (tensor != 0)  # f = 0 gives no entries
+    return HermiteSeries.from_arrays(dimension, max_degree, np.argwhere(keep), tensor[keep],
+                                     f"quadrature(n={n})")
 
 
 def synthesize(series: HermiteSeries, x) -> complex:
@@ -200,14 +253,11 @@ def synthesize_many(series: HermiteSeries, points) -> np.ndarray:
         pts = pts.reshape(-1, 1)
     if pts.ndim != 2 or pts.shape[1] != d:
         raise ValueError(f"points must have shape (n, {d}), got {pts.shape}")
-    if not series.coefficients:
-        return np.zeros(pts.shape[0], dtype=complex)
-    degs = series.degrees_per_axis()
-    mats = [hermite_matrix(degs[i], pts[:, i]) for i in range(d)]
-    out = np.zeros(pts.shape[0], dtype=complex)
-    for alpha, c in series.items():
-        term = mats[0][alpha[0]]
-        for i in range(1, d):
-            term = term * mats[i][alpha[i]]
-        out += c * term
-    return out
+    dense = series.dense()
+    rows = [hermite_matrix(k - 1, pts[:, i]) for i, k in enumerate(dense.shape)]
+    # out[p] = sum_alpha dense[alpha] prod_i rows[i][alpha_i, p], one pass per
+    # point with no intermediate array
+    operands = [dense, list(range(d))]
+    for i, r in enumerate(rows):
+        operands += [r, [i, d]]
+    return np.einsum(*operands, [d])

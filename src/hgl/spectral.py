@@ -85,68 +85,51 @@ def apply_H(series: HermiteSeries, power: int) -> HermiteSeries:
     powers performs the identical operation sequence as the combined power:
     apply_H(apply_H(s, a), b) == apply_H(s, a + b) bitwise.  A log-domain
     check guards float overflow up front (use the log-domain norm routines
-    for extreme powers).
+    for extreme powers).  Zero coefficients are left as stored.
     """
     if power < 0:
         raise ValueError("power must be >= 0")
     if power == 0:
         return series
-    d = series.dimension
-    out = {}
-    for alpha, c in series.items():
-        if c == 0:
-            out[alpha] = c
-            continue
-        lam = 2 * alpha.order + d
-        if math.log(abs(c)) + power * math.log(lam) > 700.0:
-            raise OverflowError(
-                f"coefficient at {tuple(alpha)} overflows for power {power}; "
-                "use log-domain norms instead")
-        for _ in range(power):
-            c = c * lam
-        out[alpha] = c
-    return HermiteSeries(dimension=d, max_degree=series.max_degree,
-                         coefficients=out, truncation_tag=series.truncation_tag)
+    logs, log_lam, nonzero = _log_coeff_arrays(series)
+    over = logs + power * log_lam > 700.0
+    if over.any():
+        alpha = tuple(series.indices[nonzero][np.argmax(over)].tolist())
+        raise OverflowError(f"coefficient at {alpha} overflows for power {power}; "
+                            "use log-domain norms instead")
+    lam = (2 * series.indices.sum(axis=1)[nonzero] + series.dimension).astype(float)
+    powered = series.values[nonzero]
+    for _ in range(power):
+        powered = powered * lam
+    values = series.values.copy()
+    values[nonzero] = powered
+    return HermiteSeries.from_arrays(series.dimension, series.max_degree, series.indices,
+                                     values, series.truncation_tag)
 
 
 def _log_coeff_arrays(series: HermiteSeries):
-    """(log |c_alpha|, log(2|alpha|+d)) over nonzero stored coefficients."""
-    logs, eigs = [], []
-    d = series.dimension
-    for alpha, c in series.items():
-        if c != 0:
-            logs.append(math.log(abs(c)))
-            eigs.append(math.log(2 * alpha.order + d))
-    return np.array(logs), np.array(eigs)
+    """(log |c_alpha|, log(2|alpha|+d)) over the nonzero stored coefficients in
+    entry order, and their mask; math.log keeps them bitwise per-entry values."""
+    mag = np.hypot(series.values.real, series.values.imag)
+    nonzero = mag > 0
+    lam = 2 * series.indices.sum(axis=1)[nonzero] + series.dimension
+    return (np.array(list(map(math.log, mag[nonzero].tolist()))),
+            np.array(list(map(math.log, lam.tolist()))), nonzero)
 
 
 def l2_norm(series: HermiteSeries) -> LogScalar:
     """Parseval norm sqrt(sum |c_alpha|^2), safe for any magnitude spread."""
-    logs, _ = _log_coeff_arrays(series)
-    if logs.size == 0:
-        return LogScalar.zero()
-    return LogScalar.from_log(0.5 * logsumexp(2.0 * logs))
+    return _as_log_scalar(_l2_log_norms_powered(series, np.zeros(1))[0])
 
 
 def _l2_log_norms_powered(series: HermiteSeries, powers: np.ndarray) -> np.ndarray:
     """log ||H^N f||_{L2} for each N in ``powers``, without float round trips."""
-    logs, eigs = _log_coeff_arrays(series)
+    logs, eigs, _ = _log_coeff_arrays(series)
     if logs.size == 0:
         return np.full(powers.shape, -math.inf)
     # (nN, ncoef): 2 log|c| + 2N log(2|alpha|+d)
     mat = 2.0 * logs[None, :] + 2.0 * np.asarray(powers, dtype=float)[:, None] * eigs[None, :]
     return 0.5 * logsumexp(mat, axis=1)
-
-
-def _dense_coefficients(series: HermiteSeries) -> np.ndarray:
-    """Coefficients as a dense complex array of shape (deg_i + 1 for each axis)."""
-    shape = tuple(k + 1 for k in series.degrees_per_axis())
-    dense = np.zeros(shape, dtype=complex)
-    if series.coefficients:
-        keys = np.array(list(series.coefficients), dtype=int).reshape(-1, series.dimension)
-        dense[tuple(keys.T)] = np.fromiter(series.coefficients.values(), dtype=complex,
-                                           count=keys.shape[0])
-    return dense
 
 
 def _powered_blocks(series: HermiteSeries, powers):
@@ -157,7 +140,7 @@ def _powered_blocks(series: HermiteSeries, powers):
     float products that follow cannot overflow for any N.  An all-zero series
     yields s_N = 0 and a zero block.
     """
-    dense = _dense_coefficients(series)
+    dense = series.dense()
     log_lam = np.log(2.0 * np.indices(dense.shape).sum(axis=0) + series.dimension)
     mag = np.abs(dense)
     nonzero = mag > 0

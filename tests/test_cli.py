@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -141,6 +142,15 @@ class TestNormsCommand:
         assert rows[0].endswith("linf")
         # the width-1 preset is exp(-x^2/2): sup norm 1
         assert float(rows[0].split(",")[1]) == pytest.approx(0.0, abs=1e-6)
+
+    @pytest.mark.parametrize("norm", ["l2", "lp:3", "mod:2,2,const"])
+    def test_csv_rows_have_three_fields(self, capsys, norm):
+        assert run(["norms", "--preset", "synthetic_flat:1,1,12", "--norm", norm,
+                    "--n-max", "4"]) == EXIT_OK
+        lines = [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("#")]
+        rows = list(csv.reader(lines))
+        assert rows[0] == ["N", "log_norm", "norm_kind"] and len(rows) == 6
+        assert all(len(row) == 3 and row[2] == norm for row in rows[1:])
 
     def test_determinism_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -357,6 +367,9 @@ CONTRACT = [
     ("envelope --target coeff --sigma 2 --radius 3 --max-degree 8 --format json", 0),
     ("envelope --target coeff --s 1e-300 --max-degree 5", 2),
     ("envelope --radius -1", 2),
+    ("envelope --radius -1 --n-max 2", 2),
+    ("envelope --sigma -1 --n-max 5", 2),
+    ("envelope --sigma 0 --n-max 5", 2),
     ("norms --preset synthetic_flat:1,1e300,80", 2),
     ("norms --preset synthetic_flat:1,1,80 --norm linf --n-max 200", 0),
     ("norms --preset synthetic_flat:1,1,80 --norm lp:3 --n-max 200", 0),

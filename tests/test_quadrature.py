@@ -92,5 +92,15 @@ def test_discrete_orthonormality_matrix():
 def test_nonconvergence_error_names_index(monkeypatch):
     import hgl.quadrature as quad
     monkeypatch.setattr(quad, "_NEWTON_MAX_ITER", 0)
+    quad.gauss_hermite_rule.cache_clear()     # an earlier test may have built n = 6
     with pytest.raises(quad.QuadratureError, match="node 0"):
         quad.gauss_hermite_rule(6)
+
+
+def test_rules_are_cached_and_read_only():
+    rule = gauss_hermite_rule(37)
+    assert gauss_hermite_rule(37) is rule
+    assert gauss_hermite_rule(38) is not rule
+    for arr in (rule.nodes, rule.weights, rule.log_weights):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
