@@ -18,7 +18,7 @@ import numpy as np
 from . import envelopes
 from .classify import classify, cross_validate
 from .io import (InputFormatError, atomic_write_text, load_samples_csv, load_series,
-                 norm_sequence_csv, report_json, series_to_json_dict)
+                 norm_sequence_csv, report_json, series_json)
 from .modulation import MixedNormParams, Weight, norm_sequence_mod
 from .presets import Preset, build_preset
 from .quadrature import QuadratureError
@@ -137,12 +137,8 @@ def _emit(text: str, out_path) -> None:
 
 def cmd_analyze(args) -> int:
     series = _resolve_series(args)
-    payload = series_to_json_dict(series)
-    payload["config"] = _config_dict(args, ("preset", "input", "dim", "max_degree",
-                                            "quad_order"))
-    # plain values, and HermiteSeries holds only finite coefficients, so the
-    # report_json walk (half again the dump time on large tensors) is not needed
-    _emit(json.dumps(payload, indent=1, allow_nan=False) + "\n", args.out)
+    config = _config_dict(args, ("preset", "input", "dim", "max_degree", "quad_order"))
+    _emit(series_json(series, config), args.out)
     return EXIT_OK
 
 

@@ -57,6 +57,30 @@ class TestAnalyzeCommand:
     def test_missing_input_is_error(self, capsys):
         assert run(["analyze"]) == EXIT_INPUT
 
+    def test_stdout_and_out_file_are_the_same_bytes(self, tmp_path, capsys):
+        # shuffled entries, a missing im and an integer re come back sorted by
+        # alpha with every float as its repr, as json.dumps(indent=1) writes
+        entries = [{"alpha": [2, 1], "re": -0.0, "im": 5e-324},
+                   {"alpha": [0, 3], "re": 1e300},
+                   {"alpha": [0, 0], "re": 3, "im": -1e-300},
+                   {"alpha": [1, 0], "re": 0.1, "im": 2.0**53}]
+        src = tmp_path / "shuffled.json"
+        src.write_text(json.dumps({"d": 2, "max_degree": 4, "entries": entries}))
+        argv = ["analyze", "--input", str(src)]
+        assert run(argv) == EXIT_OK
+        stdout = capsys.readouterr().out
+        out = tmp_path / "report.json"
+        assert run(argv + ["--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == stdout.encode()
+        want = {"d": 2, "max_degree": 4,
+                "entries": [{"alpha": e["alpha"], "re": float(e["re"]),
+                             "im": float(e.get("im", 0.0))}
+                            for e in sorted(entries, key=lambda e: e["alpha"])],
+                "config": {"command": "analyze", "input": str(src), "dim": 1,
+                           "max_degree": 10}}
+        assert stdout == json.dumps(want, indent=1) + "\n"
+
 
 class TestClassifyCommand:
     def test_synthetic_flat(self, tmp_path):
@@ -342,7 +366,8 @@ def test_overflow_is_input_error_with_one_line(argv, capsys):
 
 # One fixed argv per row across the five commands, the reproducers of past
 # defects included.  {name} stands for a coefficient file written by
-# _contract_files; the second column is the expected exit code.
+# _contract_files; the second column is the expected exit code, and an
+# optional third is the expected start of the error line.
 CONTRACT = [
     ("analyze --preset gaussian:1.0 --max-degree 6", 0),
     ("analyze --preset hermite:2,1 --dim 2", 0),
@@ -386,6 +411,22 @@ CONTRACT = [
     ("verify-lemmas --t-min 2.0", 2),
     ("verify-lemmas --t-max 8.0", 2),
     ("verify-lemmas --t-max Infinity", 2),
+    ("analyze --input {alpha_float}", 2,
+     "error: {alpha_float}: bad coefficient entry (entry 1: alpha must be a list of 1 integers"),
+    ("analyze --input {alpha_true}", 2,
+     "error: {alpha_true}: bad coefficient entry (entry 0: alpha must be a list of 1 integers"),
+    ("analyze --input {alpha_string}", 2,
+     "error: {alpha_string}: bad coefficient entry (entry 0: alpha must be a list of 1 integers"),
+    ("analyze --input {d_float}", 2,
+     "error: {d_float}: bad coefficient entry (d must be an integer, got 1.7)"),
+    ("analyze --input {max_degree_float}", 2,
+     "error: {max_degree_float}: bad coefficient entry (max_degree must be an integer, got 3.9)"),
+    ("analyze --input {re_string}", 2,
+     "error: {re_string}: bad coefficient entry (entry 0: re must be a number, got '1e5')"),
+    ("analyze --input {ragged}", 2,
+     "error: {ragged}: bad coefficient entry (entry 1: alpha must be a list of 1 integers"),
+    ("analyze --input {alpha_huge}", 2,
+     "error: {alpha_huge}: bad coefficient entry (entry 0: alpha [99999999999999999999] is out"),
 ]
 
 
@@ -398,11 +439,21 @@ def _contract_files(tmp_path_factory):
                     '{"alpha": [0], "re": 5.0, "im": 0.0}',
         "nan": '{"alpha": [0], "re": 1.0, "im": 0.0}, {"alpha": [1], "re": NaN, "im": 0.0}',
         "infinity": '{"alpha": [2], "re": Infinity, "im": 0.0}',
+        "alpha_float": '{"alpha": [0], "re": 1.0}, {"alpha": [1.5], "re": 1.0, "im": 0.0}',
+        "alpha_true": '{"alpha": [true], "re": 1.0, "im": 0.0}',
+        "alpha_string": '{"alpha": ["2"], "re": 1.0, "im": 0.0}',
+        "re_string": '{"alpha": [1], "re": "1e5", "im": 0.0}',
+        "ragged": '{"alpha": [1], "re": 1.0, "im": 0.0}, {"alpha": [1, 0], "re": 1.0, "im": 0.0}',
+        "alpha_huge": '{"alpha": [99999999999999999999], "re": 1.0, "im": 0.0}',
     }
+    files = {name: '{"d": 1, "max_degree": 2, "entries": [' + text + ']}'
+             for name, text in entries.items()}
+    files["d_float"] = '{"d": 1.7, "max_degree": 2, "entries": [{"alpha": [1], "re": 1.0}]}'
+    files["max_degree_float"] = '{"d": 1, "max_degree": 3.9, "entries": [{"alpha": [1], "re": 1.0}]}'
     paths = {}
-    for name, text in entries.items():
+    for name, text in files.items():
         path = root / f"{name}.json"
-        path.write_text('{"d": 1, "max_degree": 2, "entries": [' + text + ']}')
+        path.write_text(text)
         paths[name] = str(path)
     return paths
 
@@ -425,8 +476,9 @@ def _assert_strict_output(out: str) -> None:
             assert math.isfinite(value), row
 
 
-@pytest.mark.parametrize("argv,code", CONTRACT, ids=[a for a, _ in CONTRACT])
-def test_cli_contract(argv, code, _contract_files, capsys):
+@pytest.mark.parametrize("argv,code,err", [(*row, None)[:3] for row in CONTRACT],
+                         ids=[row[0] for row in CONTRACT])
+def test_cli_contract(argv, code, err, _contract_files, capsys):
     try:
         got = run(argv.format(**_contract_files).split())
     except SystemExit as exc:      # argparse usage errors
@@ -440,3 +492,5 @@ def test_cli_contract(argv, code, _contract_files, capsys):
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert captured.err.endswith("\n")
+        if err is not None:
+            assert lines[0].startswith(err.format(**_contract_files))

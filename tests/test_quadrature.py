@@ -73,6 +73,34 @@ def test_matches_mpmath_roots_and_weights(n):
                 assert abs(rule.log_weights[j] - log_w) <= 1e-12, j
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [500, 2000])
+def test_large_rules_match_mpmath_roots_and_weights(n):
+    # the method above at the orders analyze runs in bulk (--quad-order up to
+    # 2000), from scipy's asymptotic nodes: two Newton steps at 40 digits,
+    # the second already below float resolution.  Float rounding of x and of
+    # -x^2 inside log w grows with the magnitudes, so the bounds scale with
+    # |x| and |log w|; measured worst cases at n = 2000 are 2.1e-16 |x| and
+    # 3.0e-15 |log w| (edge nodes near 62, log w near -3900).
+    mpmath = pytest.importorskip("mpmath")
+    from scipy.special import roots_hermite
+    rule = gauss_hermite_rule(n)
+    start, _ = roots_hermite(n)
+    with mpmath.workdps(40):
+        log_const = ((n - 1) * mpmath.log(2) + mpmath.loggamma(n + 1)
+                     + mpmath.log(mpmath.pi) / 2 - 2 * mpmath.log(n))
+        for i in range(n // 2, n):  # the rule is exactly symmetric
+            x = mpmath.mpf(start[i])
+            for _ in range(2):
+                step = mpmath.hermite(n, x) / (2 * n * mpmath.hermite(n - 1, x))
+                x -= step
+            assert abs(step) <= 1e-20 * max(1, abs(x)), i
+            log_w = float(log_const - 2 * mpmath.log(abs(mpmath.hermite(n - 1, x))))
+            for j, node in ((i, float(x)), (n - 1 - i, -float(x))):
+                assert abs(rule.nodes[j] - node) <= 1e-15 * max(1.0, abs(node)), j
+                assert abs(rule.log_weights[j] - log_w) <= 1e-14 * max(1.0, abs(log_w)), j
+
+
 def test_order_bounds():
     with pytest.raises(ValueError):
         gauss_hermite_rule(0)
