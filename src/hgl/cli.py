@@ -99,10 +99,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_dict(args, keys) -> dict:
+def _json_input(args) -> bool:
+    """Whether the series comes from a coefficient JSON file (--preset wins)."""
+    path = getattr(args, "input", None) or ""
+    return not getattr(args, "preset", None) and path.endswith(".json")
+
+
+def _config_dict(args, keys, series=None) -> dict:
+    """The report's config: the command and every key that is set.
+
+    A coefficient JSON file fixes its own dimension and max degree and needs
+    no quadrature, so for that input the config records the loaded series'
+    values in place of --dim and --max-degree, and no quad_order.
+    """
     cfg = {"command": args.command}
+    loaded = {}
+    if series is not None and _json_input(args):
+        loaded = {"dim": series.dimension, "max_degree": series.max_degree, "quad_order": None}
     for k in keys:
-        v = getattr(args, k, None)
+        v = loaded[k] if k in loaded else getattr(args, k, None)
         if v is not None:
             cfg[k] = v
     return cfg
@@ -113,13 +128,12 @@ def _resolve_series(args) -> HermiteSeries:
         preset = Preset.parse(args.preset)
         return build_preset(preset, dimension=args.dim, max_degree=args.max_degree,
                             quad_order=args.quad_order)
+    if _json_input(args):
+        return load_series(args.input)
     if getattr(args, "input", None):
-        path = args.input
-        if path.endswith(".json"):
-            return load_series(path)
         if args.dim != 1:
             raise InputFormatError("sampled CSV input implies dimension 1")
-        xs, ys = load_samples_csv(path)
+        xs, ys = load_samples_csv(args.input)
 
         def f(x):
             return np.interp(x, xs, ys, left=0.0, right=0.0)
@@ -137,7 +151,7 @@ def _emit(text: str, out_path) -> None:
 
 def cmd_analyze(args) -> int:
     series = _resolve_series(args)
-    config = _config_dict(args, ("preset", "input", "dim", "max_degree", "quad_order"))
+    config = _config_dict(args, ("preset", "input", "dim", "max_degree", "quad_order"), series)
     _emit(series_json(series, config), args.out)
     return EXIT_OK
 
@@ -148,7 +162,7 @@ def cmd_classify(args) -> int:
     series = _resolve_series(args)
     result = classify(series)
     payload = {"config": _config_dict(args, ("preset", "input", "dim", "max_degree",
-                                             "quad_order", "sigma", "n_max")),
+                                             "quad_order", "sigma", "n_max"), series),
                "classification": result.to_json_dict()}
     if args.sigma is not None:
         payload["cross_validation"] = cross_validate(series, args.sigma,
@@ -204,7 +218,7 @@ def cmd_norms(args) -> int:
     series = _resolve_series(args)
     sigma = args.sigma if args.sigma is not None else 1.0
     cfg = _config_dict(args, ("preset", "input", "dim", "max_degree", "quad_order",
-                              "sigma", "n_max", "norm", "n0"))
+                              "sigma", "n_max", "norm", "n0"), series)
     kind = args.norm
     if kind.startswith("mod:"):
         parts = kind[4:].split(",")

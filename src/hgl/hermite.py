@@ -11,8 +11,8 @@ recurrence meaningful even where the seed underflows float64 (large |x|,
 large k), so values are accurate for k up to 10^4 and |x| up to 50.
 
 One kernel, ``_recurrence``, holds the recurrence and its rescale; point
-values, basis rows, Christoffel sums and the Newton steps that polish
-Gauss-Hermite nodes are all read off it.
+values, basis rows, Christoffel sums and the Newton steps and weights of the
+Gauss-Hermite rules are all read off it.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ def hermite_eval_multi(alpha, x) -> float:
 def hermite_matrix(kmax: int, x) -> np.ndarray:
     """All h_k(x) for k = 0..kmax at the points x, shape (kmax+1, len(x)).
 
-    The workhorse behind the transforms and quadrature weights.
+    The workhorse behind the transforms and the grid norms.
     """
     if kmax < 0:
         raise ValueError(f"kmax must be >= 0, got {kmax}")
@@ -114,9 +114,11 @@ def hermite_derivative_rows(kmax: int, x):
 def log_abs_hermite_sumsq(n: int, x) -> np.ndarray:
     """log( sum_{k<n} h_k(x)^2 ) per point, fully in the log domain.
 
-    Used for Christoffel weights: the sum spans hundreds of orders of
-    magnitude near the edge nodes of large quadrature rules, so it is
-    accumulated as a running log-sum-exp alongside the rescaled recurrence.
+    The inverse Christoffel function at any x.  The sum spans hundreds of
+    orders of magnitude at large |x| and n, so it is accumulated as a running
+    log-sum-exp alongside the rescaled recurrence.  Gauss-Hermite rules do
+    not call it: at their nodes the Christoffel-Darboux identity reduces the
+    sum to n h_{n-1}(x)^2 (see quadrature.py).
     """
     if n < 1:
         raise ValueError(f"need at least one term, got n={n}")

@@ -77,9 +77,26 @@ class TestAnalyzeCommand:
                 "entries": [{"alpha": e["alpha"], "re": float(e["re"]),
                              "im": float(e.get("im", 0.0))}
                             for e in sorted(entries, key=lambda e: e["alpha"])],
-                "config": {"command": "analyze", "input": str(src), "dim": 1,
-                           "max_degree": 10}}
+                "config": {"command": "analyze", "input": str(src), "dim": 2,
+                           "max_degree": 4}}
         assert stdout == json.dumps(want, indent=1) + "\n"
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["classify", "--sigma", "1", "--n-max", "5"],
+                                  ["norms", "--n-max", "3", "--format", "json"]],
+                         ids=["analyze", "classify", "norms"])
+def test_json_input_config_records_the_loaded_series(argv, tmp_path, capsys):
+    # a coefficient file fixes d and M itself and uses no quadrature, so the
+    # report's config records the file's d = 3, M = 4 whatever the flags say
+    src = tmp_path / "t3.json"
+    src.write_text(json.dumps({"d": 3, "max_degree": 4, "entries": [
+        {"alpha": [0, 0, 0], "re": 1.0, "im": 0.0},
+        {"alpha": [1, 2, 1], "re": 0.25, "im": -0.5}]}))
+    for flags in ([], ["--dim", "2", "--max-degree", "3", "--quad-order", "40"]):
+        assert run(argv + ["--input", str(src)] + flags) == EXIT_OK
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert config["dim"] == 3 and config["max_degree"] == 4
+        assert "quad_order" not in config
 
 
 class TestClassifyCommand:

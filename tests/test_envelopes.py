@@ -418,3 +418,60 @@ def test_golden_matches_the_scalar_loop_on_mixed_brackets():
     for i in range(200):
         want = _golden_scalar(lambda u: (u - centre[i]) * (u - centre[i]), lo[i], hi[i])
         assert (x[i], f[i]) == want
+
+
+class TestEnvelopeFormulasOracle:
+    """The four envelope formulas against their closed forms at 50 digits.
+
+    Each closed form is a short sum of terms; its float evaluation is good to
+    a few ulps of the largest term, so the error is measured against
+    sum |term| (worst measured 5.1e-16, in envelope_norm_s).
+    """
+
+    ORDERS = (1, 2, 7, 60, 400)
+    PARAMS = (0.5, 1.0, 3.0)
+    RADII = (0.3, 1.0, 2.5)
+    TOL = 8 * 2.0**-52
+
+    @staticmethod
+    def norm_flat_terms(mpmath, N, sigma, r):
+        t = N * mpmath.mpf(sigma)
+        lt = mpmath.log(t)
+        return [N * mpmath.log(2), (N / lt) * mpmath.log(r),
+                N * (1 - 1 / lt) * mpmath.log(2 * t / lt)]
+
+    @staticmethod
+    def norm_s_terms(mpmath, N, s, r):
+        return [N * mpmath.log(r), 2 * mpmath.mpf(s) * mpmath.loggamma(N + 1)]
+
+    @staticmethod
+    def coeff_flat_terms(mpmath, k, sigma, r):
+        return [k * mpmath.log(r), -mpmath.loggamma(k + 1) / (2 * mpmath.mpf(sigma))]
+
+    @staticmethod
+    def coeff_s_terms(mpmath, k, s, r):
+        return [-mpmath.mpf(r) * mpmath.mpf(k) ** (1 / (2 * mpmath.mpf(s)))]
+
+    @pytest.mark.parametrize("name", ["norm_flat", "norm_s", "coeff_flat", "coeff_s"])
+    def test_matches_closed_form(self, name):
+        mpmath = pytest.importorskip("mpmath")
+        formula = {"norm_flat": envelope_norm_flat, "norm_s": envelope_norm_s,
+                   "coeff_flat": lambda k, p, r: envelope_coeff_flat((k,), p, r),
+                   "coeff_s": lambda k, p, r: envelope_coeff_s((k,), p, r)}[name]
+        closed_form = getattr(self, f"{name}_terms")
+        checked = 0
+        with mpmath.workdps(50):
+            for n in self.ORDERS:
+                for p in self.PARAMS:
+                    for r in self.RADII:
+                        if name == "norm_flat" and n * p <= E:
+                            with pytest.raises(ValueError):
+                                formula(n, p, r)
+                            continue
+                        terms = closed_form(mpmath, n, p, r)
+                        got = formula(n, p, r)
+                        assert got.sign == 1
+                        err = abs(mpmath.mpf(got.log_magnitude) - sum(terms))
+                        assert err <= self.TOL * sum(abs(t) for t in terms), (n, p, r)
+                        checked += 1
+        assert checked >= 33  # norm_flat skips N sigma <= e: 12 of the 45 cases

@@ -22,6 +22,19 @@ def test_two_point_rule():
     assert rule.weights == pytest.approx([SQRT_PI / 2, SQRT_PI / 2], rel=1e-14)
 
 
+def test_three_point_rule_closed_form():
+    # H_3 = 8x^3 - 12x: nodes 0 and +-sqrt(3/2), weights sqrt(pi)/6 and 2 sqrt(pi)/3;
+    # the odd order takes the exact middle root x = 0
+    rule = gauss_hermite_rule(3)
+    nodes = [-math.sqrt(1.5), 0.0, math.sqrt(1.5)]
+    weights = [SQRT_PI / 6, 2 * SQRT_PI / 3, SQRT_PI / 6]
+    assert rule.nodes[1] == 0.0
+    for got, want in zip(rule.nodes, nodes):
+        assert abs(got - want) <= math.ulp(want)
+    for got, want in zip(rule.weights, weights):
+        assert abs(got - want) <= 2 * math.ulp(want)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 40])
 def test_moment_exactness_to_degree_2n_minus_1(n):
     rule = gauss_hermite_rule(n)
@@ -53,7 +66,7 @@ def test_large_rule_log_weights_stay_finite():
     assert rule.log_weights.min() < -800
 
 
-@pytest.mark.parametrize("n", [50, 200])
+@pytest.mark.parametrize("n", [50, 51, 200, 201])
 def test_matches_mpmath_roots_and_weights(n):
     # roots of H_n polished by Newton steps at 40 digits from numpy's nodes;
     # log w = log(2^(n-1) n! sqrt(pi) / (n^2 H_{n-1}(x)^2)) in closed form
@@ -74,7 +87,7 @@ def test_matches_mpmath_roots_and_weights(n):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("n", [500, 2000])
+@pytest.mark.parametrize("n", [500, 1999, 2000])
 def test_large_rules_match_mpmath_roots_and_weights(n):
     # the method above at the orders analyze runs in bulk (--quad-order up to
     # 2000), from scipy's asymptotic nodes: two Newton steps at 40 digits,
