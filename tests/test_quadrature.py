@@ -93,8 +93,9 @@ def test_large_rules_match_mpmath_roots_and_weights(n):
     # 2000), from scipy's asymptotic nodes: two Newton steps at 40 digits,
     # the second already below float resolution.  Float rounding of x and of
     # -x^2 inside log w grows with the magnitudes, so the bounds scale with
-    # |x| and |log w|; measured worst cases at n = 2000 are 2.1e-16 |x| and
-    # 3.0e-15 |log w| (edge nodes near 62, log w near -3900).
+    # |x| and |log w|; measured worst cases over these orders are
+    # 2.2e-16 max(1, |x|) and 3.3e-15 max(1, |log w|) (edge nodes near 62,
+    # log w near -3900).
     mpmath = pytest.importorskip("mpmath")
     from scipy.special import roots_hermite
     rule = gauss_hermite_rule(n)
