@@ -4,11 +4,15 @@ Exit codes: 0 success, 2 input error (overflow and quadrature failures
 included), 3 suite failure (an envelope search that finds no extremum
 included).  Every report embeds the config that produced
 it, and identical configs produce byte-identical output files.
+
+The argument parser is built once per process and shared by every ``main``
+call; each call parses into a fresh namespace.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -47,6 +51,7 @@ def _finite_float(text: str) -> float:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="hgl",
@@ -243,8 +248,8 @@ def cmd_norms(args) -> int:
 
 def cmd_verify_lemmas(args) -> int:
     cfg = _config_dict(args, ("sigma", "t_min", "t_max"))
-    t_max = args.t_max or 1e3
-    mono_t_max = args.t_max or 200.0
+    t_max = args.t_max if args.t_max is not None else 1e3
+    mono_t_max = args.t_max if args.t_max is not None else 200.0
 
     reports = [envelopes.check_factor_ratios_bounded(R, t_max=t_max) for R in (1.0, 5.0)]
     reports += [envelopes.check_envelope_factor_monotone(s, t_max=mono_t_max, t_min=args.t_min)
@@ -260,8 +265,7 @@ def cmd_verify_lemmas(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (InputFormatError, FileNotFoundError, ValueError) as exc:

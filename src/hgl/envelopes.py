@@ -4,6 +4,12 @@ Everything here is evaluated in the log domain: the envelopes reach exp(700)
 within a few dozen oscillator powers at sigma = 1.  The ``check_*`` suites
 sweep parameter grids, fit the existential constants the inequalities merely
 assert, and report pass/fail against stability-under-grid-extension criteria.
+
+The suites evaluate their grids as array passes.  Logarithms of grid values
+are taken with ``math.log`` per element (``np.log`` can differ in the last
+bit), and every other step is the same float operation as the pointwise
+formula, so each suite value is bitwise equal to evaluating its grid point by
+point with the scalar functions below.
 """
 
 from __future__ import annotations
@@ -233,10 +239,15 @@ def _golden_min(fn, lo, hi, rel_tol: float = 1e-10):
 # factor-ratio boundedness sweep
 # ----------------------------------------------------------------------
 
+def _factor_t_floor(R: float) -> float:
+    """First t1 of the factor-ratio sweep at radius bound R."""
+    return max(_E, R + 1.0) * 1.02
+
+
 def _fit_factor_constant(R: float, t_max: float, nr: int, nt: int, nu: int,
                          r_values=None):
     """max over the sweep grid of (log g, scaled log h) and its witness."""
-    t_lo = max(_E, R + 1.0) * 1.02
+    t_lo = _factor_t_floor(R)
     t1 = np.geomspace(t_lo, t_max, nt)
     u = np.linspace(0.0, R, nu)
     r = np.asarray(r_values, dtype=float) if r_values is not None \
@@ -274,6 +285,9 @@ def check_factor_ratios_bounded(R: float, t_max: float = 1e3, nr: int = 24,
     """
     if R < 1:
         raise ValueError("R must be >= 1")
+    if not (t_max > _factor_t_floor(R)):
+        raise ValueError(f"t_max must exceed the t floor {_factor_t_floor(R):.6g} "
+                         f"of R = {R:g}, got {t_max}")
     log_c1, witness, max_g, max_h = _fit_factor_constant(R, t_max, nr, nt, nu, r_values)
     log_c2, _, _, _ = _fit_factor_constant(R, 2 * t_max, nr, nt + 16, nu, r_values)
     drift = abs(log_c2 - log_c1)
@@ -299,6 +313,15 @@ def check_factor_ratios_bounded(R: float, t_max: float = 1e3, nr: int = 24,
 # envelope-factor monotonicity sweep
 # ----------------------------------------------------------------------
 
+def _factor_parts(t: np.ndarray):
+    """The two t-terms of ``envelope_factor`` on a grid: the log amplitude
+    t(1 - 1/log t) log(2t/log t) and t/log t, so that
+    ``envelope_factor(r, t[i])`` is ``amp[i] + tl[i] * math.log(r)``."""
+    lt = np.array([math.log(v) for v in t.tolist()])
+    log_ratio = np.array([math.log(v) for v in (2.0 * t / lt).tolist()])
+    return t * (1.0 - 1.0 / lt) * log_ratio, t / lt
+
+
 def check_envelope_factor_monotone(sigma: float, t_max: float = 200.0, nt: int = 120,
                                    r_up=(1.0, 2.0, 10.0), r_down=(0.1, 0.5, 1.0),
                                    n_sigma0: int = 3, slack: float = 1e-12,
@@ -319,17 +342,24 @@ def check_envelope_factor_monotone(sigma: float, t_max: float = 200.0, nt: int =
         raise ValueError(f"t grid must start above sigma(e+1)+e = {lo:.6g}")
     if t_max <= t_lo:
         raise ValueError(f"t_max must exceed the domain floor {t_lo:.6g}")
+    for r in (*r_up, *r_down):
+        if not r > 0:
+            raise ValueError("r must be positive")
     ts = np.linspace(t_lo, t_max, nt)
+    for t in ts.tolist():
+        _check_t(t)
     sigma0s = np.linspace(0.0, sigma, n_sigma0)
     worst = -math.inf
     witness = {}
     # (branch, r, radius on the right-hand side)
     branches = ([("r_ge_1", r, r) for r in r_up]
                 + [("r_le_1", r, r ** ((_E - 1.0) / _E)) for r in r_down])
+    amp, tl = _factor_parts(ts)
+    left = {r: amp + tl * math.log(r) for _, r, _ in branches}
     for s0 in sigma0s:
+        amp, tl = _factor_parts(ts + s0)
         for branch, r, r_right in branches:
-            diffs = np.array([envelope_factor(r, t).log_magnitude
-                              - envelope_factor(r_right, t + s0).log_magnitude for t in ts])
+            diffs = left[r] - (amp + tl * math.log(r_right))
             i = int(np.argmax(diffs))
             if diffs[i] > worst:
                 worst = float(diffs[i])
@@ -356,35 +386,39 @@ def check_envelope_factor_monotone(sigma: float, t_max: float = 200.0, nt: int =
 _N_CAP = 1_000_000      # last N of the discrete scan
 
 
-def _inf_summand_log(log_s, r1: float, t: np.ndarray) -> np.ndarray:
-    """log of s^{-t} (2t/log t)^{t(1-1/log t)} r1^{t/log t}, given log s."""
+def _inf_summand_log(log_s, log_r1, t: np.ndarray) -> np.ndarray:
+    """log of s^{-t} (2t/log t)^{t(1-1/log t)} r1^{t/log t}, given log s
+    and log r1."""
     lt = np.log(t)
     return (-t * log_s
             + t * (1.0 - 1.0 / lt) * np.log(2.0 * t / lt)
-            + (t / lt) * math.log(r1))
+            + (t / lt) * log_r1)
 
 
-def _infimum_logs(s: np.ndarray, r1: float, sigma: float, domain: int,
+def _infimum_logs(s: np.ndarray, r1, sigma: float, domain: int,
                   n_cap: int) -> np.ndarray:
     """log inf_t of the summand for every s in the array ``s`` (one pass).
 
-    Each element stops by its own test and sees the same float operations
-    as a search for that s alone.
+    ``r1`` is a scalar or one radius per element of ``s``.  Each element
+    stops by its own test and sees the same float operations as a search
+    for that (s, r1) alone.
     """
     if np.any(s < 10):
         raise ValueError("the estimate needs s >= 10")
-    if r1 <= 0 or sigma <= 0:
+    r1 = np.broadcast_to(np.asarray(r1, dtype=float), s.shape)
+    if np.any(r1 <= 0) or sigma <= 0:
         raise ValueError("r1 and sigma must be positive")
     # math.log, not np.log: the two differ in the last bit on some inputs
     log_s = np.array([math.log(v) for v in s.tolist()])
+    log_r1 = np.array([math.log(v) for v in r1.tolist()])
     if domain == 1:
-        return _discrete_infimum(log_s, r1, sigma, n_cap)
+        return _discrete_infimum(log_s, log_r1, sigma, n_cap)
     if domain == 2:
-        return _continuum_infimum(log_s, r1)
+        return _continuum_infimum(log_s, log_r1)
     raise ValueError("domain must be 1 or 2")
 
 
-def _discrete_infimum(log_s: np.ndarray, r1: float, sigma: float,
+def _discrete_infimum(log_s: np.ndarray, log_r1: np.ndarray, sigma: float,
                       n_cap: int) -> np.ndarray:
     """Scan t = N sigma >= e in chunks of 512 until the summand rises twice
     in a row; the minimum so far is then the exact discrete minimum."""
@@ -397,7 +431,7 @@ def _discrete_infimum(log_s: np.ndarray, r1: float, sigma: float,
     chunk = 512
     while n <= n_cap:
         ns = np.arange(n, min(n + chunk, n_cap + 1))
-        vals = _inf_summand_log(log_s[:, None], r1, ns * sigma)
+        vals = _inf_summand_log(log_s[:, None], log_r1[:, None], ns * sigma)
         up = np.concatenate([(vals[:, 0] > prev)[:, None],
                              vals[:, 1:] > vals[:, :-1]], axis=1)
         stop = up & np.concatenate([rising[:, None], up[:, :-1]], axis=1)
@@ -407,7 +441,7 @@ def _discrete_infimum(log_s: np.ndarray, r1: float, sigma: float,
         best = np.minimum(best, running[np.arange(last.size), last])
         out[todo[hit]] = best[hit]
         keep = ~hit
-        todo, log_s, best = todo[keep], log_s[keep], best[keep]
+        todo, log_s, log_r1, best = todo[keep], log_s[keep], log_r1[keep], best[keep]
         prev, rising = vals[keep, -1], up[keep, -1]
         if todo.size == 0:
             return out
@@ -416,13 +450,13 @@ def _discrete_infimum(log_s: np.ndarray, r1: float, sigma: float,
         f"summand still decreasing at N = {n_cap}; raise the cap")
 
 
-def _continuum_infimum(log_s: np.ndarray, r1: float) -> np.ndarray:
+def _continuum_infimum(log_s: np.ndarray, log_r1: np.ndarray) -> np.ndarray:
     """Scan log t from 1 in steps of 0.25 while the summand falls, then
     golden-section on the last three scan points (on the first step alone
     when it already rises: the summand falls at t = e for every s >= 10)."""
     def phi(log_t: np.ndarray, rows: np.ndarray) -> np.ndarray:
         t = np.array([math.exp(v) for v in log_t.tolist()])
-        return _inf_summand_log(log_s[rows], r1, t)
+        return _inf_summand_log(log_s[rows], log_r1[rows], t)
 
     step = 0.25
     rows = np.arange(log_s.size)
@@ -465,22 +499,27 @@ def check_infimum_bound(r1_values=(0.5, 1.0, 2.0), s_lo: float = 10.0,
     Checks the continuum infimum never exceeds the discrete one, fits r2 per
     (r1, domain) by maximizing (inf * s^{s/2})^{1/s}, and passes when every
     fitted r2 is stable (<= threshold drift) under doubling the s-extent.
-    Each (r1, domain) pair is one array search over the whole extended
-    s-grid, with the values ``infimum_coeff_bound`` gives for each s.
+    Each domain is one array search over every (r1, s) of the extended
+    s-grid, with the values ``infimum_coeff_bound`` gives for each pair.
     """
+    if len(r1_values) == 0:
+        raise ValueError("r1_values must not be empty")
     s_grid = np.unique(np.round(np.geomspace(s_lo, s_hi, ns)).astype(int)).astype(float)
     s_grid_ext = np.unique(np.concatenate([s_grid, 2.0 * s_grid]))
+    n_ext = s_grid_ext.size
+    # row k * n_ext + i is (r1_values[k], s_grid_ext[i])
+    rows_s = np.tile(s_grid_ext, len(r1_values))
+    rows_r1 = np.repeat(np.asarray(r1_values, dtype=float), n_ext)
+    vals = {j: _infimum_logs(rows_s, rows_r1, sigma, j, _N_CAP) for j in (1, 2)}
     inclusion_ok = True
     fits = {}
     worst_ratio = -math.inf
     witness = {}
-    for r1 in r1_values:
-        logs = {}
-        for j in (1, 2):
-            vals = _infimum_logs(s_grid_ext, r1, sigma, j, _N_CAP)
-            # the log values infimum_coeff_bound reports for each s
-            logs[j] = {float(s): LogScalar.from_log(float(v)).log_magnitude
-                       for s, v in zip(s_grid_ext, vals)}
+    for k, r1 in enumerate(r1_values):
+        # the log values infimum_coeff_bound reports for each s
+        logs = {j: {float(s): LogScalar.from_log(float(v)).log_magnitude
+                    for s, v in zip(s_grid_ext, vals[j][k * n_ext:(k + 1) * n_ext])}
+                for j in (1, 2)}
         for s in s_grid_ext:
             if logs[2][s] > logs[1][s] + 1e-9:
                 inclusion_ok = False
@@ -517,28 +556,55 @@ def check_infimum_bound(r1_values=(0.5, 1.0, 2.0), s_lo: float = 10.0,
 # peak-term boundedness sweep
 # ----------------------------------------------------------------------
 
+def _peak_log(u: float, t: float, log2re: float) -> float:
+    """log of the peak term at s = exp(u)."""
+    return 2.0 * t * u + math.exp(u) * (log2re - u)
+
+
+def _log_max_peak_terms(r: float, ts) -> list:
+    """log max over s >= 1 of the peak term for every t in ``ts``.
+
+    A bracket scan in u = log s per t, in the order of ``ts``, then one
+    golden section over all brackets; each t sees the same float operations
+    as a search for that t alone.
+    """
+    log2re = math.log(2.0 * r * _E)
+    out = [None] * len(ts)
+    rows, lo, hi, scan_max = [], [], [], []
+    for k, t in enumerate(ts):
+        # derivative at s = 1: 2t + log(2re) - 1
+        if 2.0 * t + log2re - 1.0 <= 0.0:
+            out[k] = _peak_log(0.0, t, log2re)
+            continue
+        step = 0.5
+        xs = [0.0, step]
+        fs = [_peak_log(0.0, t, log2re), _peak_log(step, t, log2re)]
+        while fs[-1] > fs[-2]:
+            xs.append(xs[-1] + step)
+            fs.append(_peak_log(xs[-1], t, log2re))
+            if xs[-1] > 60.0:
+                raise EnvelopeSearchError(
+                    f"peak-term maximizer does not bracket for r={r}, t={t}")
+        rows.append(k)
+        lo.append(xs[-3] if len(xs) >= 3 else 0.0)
+        hi.append(xs[-1])
+        scan_max.append(max(fs))
+    if rows:
+        row_t = [ts[k] for k in rows]
+
+        def neg(u, live):
+            return np.array([-_peak_log(v, row_t[j], log2re)
+                             for v, j in zip(u.tolist(), live.tolist())])
+
+        _, f_neg = _golden_min(neg, lo, hi)
+        for j, k in enumerate(rows):
+            out[k] = max(-float(f_neg[j]), scan_max[j])
+    return out
+
+
 def _log_max_peak_term(r: float, t: float) -> float:
     """log max over s >= 1 of the peak term, by bracket + golden section."""
-    log2re = math.log(2.0 * r * _E)
-
-    def g(u):  # u = log s
-        return 2.0 * t * u + math.exp(u) * (log2re - u)
-
-    # derivative at s = 1: 2t + log(2re) - 1
-    if 2.0 * t + log2re - 1.0 <= 0.0:
-        return g(0.0)
-    step = 0.5
-    xs = [0.0, step]
-    fs = [g(0.0), g(step)]
-    while fs[-1] > fs[-2]:
-        xs.append(xs[-1] + step)
-        fs.append(g(xs[-1]))
-        if xs[-1] > 60.0:
-            raise EnvelopeSearchError(f"peak-term maximizer does not bracket for r={r}, t={t}")
-    lo = xs[-3] if len(xs) >= 3 else 0.0
-    _, neg = _golden_min(lambda u, rows: np.array([-g(v) for v in u.tolist()]),
-                         [lo], [xs[-1]])
-    return max(-float(neg[0]), max(fs))
+    return _log_max_peak_terms(r, [t])[0]
 
 
 def check_peak_term_bounded(r: float, t_grid=(10.0, 20.0, 40.0, 80.0, 160.0),
@@ -555,12 +621,17 @@ def check_peak_term_bounded(r: float, t_grid=(10.0, 20.0, 40.0, 80.0, 160.0),
     for t in t_grid:
         _check_t(t)
 
-    def log_rho(t: float) -> float:
-        return (math.log(t) / (2.0 * t)) * (_log_max_peak_term(r, t) - 2.0 * _log_amplitude(t))
+    base_ts = [float(t) for t in t_grid]
+    ext_grid = sorted(set(base_ts + [2.0 * t for t in base_ts]))
+    # every distinct t once, base grid first, in one batched search
+    peak_ts = list(dict.fromkeys(base_ts + ext_grid))
+    peaks = dict(zip(peak_ts, _log_max_peak_terms(r, peak_ts)))
 
-    base = {float(t): log_rho(float(t)) for t in t_grid}
-    ext_grid = sorted(set([float(t) for t in t_grid] + [2.0 * float(t) for t in t_grid]))
-    ext = {t: (base[t] if t in base else log_rho(t)) for t in ext_grid}
+    def log_rho(t: float) -> float:
+        return (math.log(t) / (2.0 * t)) * (peaks[t] - 2.0 * _log_amplitude(t))
+
+    base = {t: log_rho(t) for t in base_ts}
+    ext = {t: log_rho(t) for t in ext_grid}
     log_rho_base = max(base.values())
     log_rho_ext = max(ext.values())
     drift = abs(log_rho_ext - log_rho_base)

@@ -428,6 +428,8 @@ CONTRACT = [
     ("verify-lemmas --t-min 2.0", 2),
     ("verify-lemmas --t-max 8.0", 2),
     ("verify-lemmas --t-max Infinity", 2),
+    ("verify-lemmas --t-max 0", 2, "error: t_max must exceed the t floor 2.77265 of R = 1"),
+    ("verify-lemmas --t-max -5", 2, "error: t_max must exceed the t floor 2.77265 of R = 1"),
     ("analyze --input {alpha_float}", 2,
      "error: {alpha_float}: bad coefficient entry (entry 1: alpha must be a list of 1 integers"),
     ("analyze --input {alpha_true}", 2,

@@ -475,3 +475,98 @@ class TestEnvelopeFormulasOracle:
                         assert err <= self.TOL * sum(abs(t) for t in terms), (n, p, r)
                         checked += 1
         assert checked >= 33  # norm_flat skips N sigma <= e: 12 of the 45 cases
+
+
+# The pointwise suite loops the array passes replaced, kept as the reference
+# they must match bit for bit.
+
+def _monotone_pointwise(sigma, t_max, nt, t_min, r_up=(1.0, 2.0, 10.0),
+                        r_down=(0.1, 0.5, 1.0), n_sigma0=3):
+    lo = sigma * (E + 1.0) + E
+    ts = np.linspace(lo + 0.1 if t_min is None else t_min, t_max, nt)
+    worst, witness = -math.inf, {}
+    branches = ([("r_ge_1", r, r) for r in r_up]
+                + [("r_le_1", r, r ** ((E - 1.0) / E)) for r in r_down])
+    for s0 in np.linspace(0.0, sigma, n_sigma0):
+        for branch, r, r_right in branches:
+            diffs = np.array([envelope_factor(r, t).log_magnitude
+                              - envelope_factor(r_right, t + s0).log_magnitude for t in ts])
+            i = int(np.argmax(diffs))
+            if diffs[i] > worst:
+                worst = float(diffs[i])
+                witness = {"branch": branch, "r": float(r), "t": float(ts[i]),
+                           "sigma0": float(s0)}
+    return worst, witness
+
+
+class TestSuitesMatchPointwiseEvaluation:
+    @pytest.mark.parametrize("sigma", [0.3, 1.0, 2.0, 5.0])
+    @pytest.mark.parametrize("nt", [7, 120])
+    @pytest.mark.parametrize("t_min_offset", [None, 1.7])
+    # without an r >= 1 branch the s0 = 0 rows are not exactly 0, so the
+    # maximum and its witness depend on every row
+    @pytest.mark.parametrize("radii", [{}, {"r_up": (), "r_down": (0.1, 0.5, 0.9)}],
+                             ids=["default_radii", "r_le_1_only"])
+    def test_monotone(self, sigma, nt, t_min_offset, radii):
+        t_min = None if t_min_offset is None else sigma * (E + 1.0) + E + t_min_offset
+        report = check_envelope_factor_monotone(sigma, nt=nt, t_min=t_min, **radii)
+        worst, witness = _monotone_pointwise(sigma, 200.0, nt, t_min, **radii)
+        assert report.details["max_log_violation"].hex() == worst.hex()
+        assert report.witness == witness
+
+    def test_factor_parts_on_a_dense_grid(self):
+        # dense enough that np.log and math.log disagree on some of its points
+        from hgl.envelopes import _factor_parts, _log_amplitude
+        ts = np.linspace(3.0, 2000.0, 200001)
+        amp, tl = _factor_parts(ts)
+        assert amp.tobytes() == np.array([_log_amplitude(t) for t in ts.tolist()]).tobytes()
+        assert tl.tobytes() == np.array([t / math.log(t) for t in ts.tolist()]).tobytes()
+        for r in (0.05, 1.0, 7.0):
+            got = amp[::100] + tl[::100] * math.log(r)
+            want = [envelope_factor(r, t).log_magnitude for t in ts[::100].tolist()]
+            assert got.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("r", [1e-3, 0.2, 2.0, 50.0])
+    @pytest.mark.parametrize("t_grid", [(E**2, 30.0, 1000.0),
+                                        (1000.0, 11.0, E**2, 11.0, 250.0),
+                                        (10.0, 20.0, 40.0, 80.0, 160.0)])
+    def test_peak_term(self, r, t_grid):
+        from hgl.envelopes import _log_amplitude, _log_max_peak_term
+
+        def log_rho(t):
+            return (math.log(t) / (2.0 * t)) * (_log_max_peak_term(r, t)
+                                                - 2.0 * _log_amplitude(t))
+
+        report = check_peak_term_bounded(r, t_grid=t_grid)
+        base = {float(t): log_rho(float(t)) for t in t_grid}
+        ext = {t: log_rho(t) for t in sorted(set(base) | {2.0 * t for t in base})}
+        assert list(report.details["log_rho_per_t"]) == list(base)
+        assert list(report.details["log_rho_extended"]) == list(ext)
+        for got, want in ((report.details["log_rho_per_t"], base),
+                          (report.details["log_rho_extended"], ext)):
+            assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()]
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("domain", [1, 2])
+    def test_infimum_rows_with_their_own_radius(self, sigma, domain):
+        from hgl.envelopes import _infimum_logs
+        s_grid = np.array([10.0, 13.0, 40.0, 41.0, 300.0, 1000.0, 2000.0])
+        r1s = (0.01, 0.5, 2.0, 1e3)
+        rows_s = np.tile(s_grid, len(r1s))
+        rows_r1 = np.repeat(np.array(r1s), s_grid.size)
+        got = _infimum_logs(rows_s, rows_r1, sigma, domain, 1_000_000)
+        want = np.concatenate([_infimum_logs(s_grid, r1, sigma, domain, 1_000_000)
+                               for r1 in r1s])
+        assert got.tobytes() == want.tobytes()
+        # interleaved radii: rows leave the search in a different order
+        order = np.random.default_rng(5).permutation(rows_s.size)
+        mixed = _infimum_logs(rows_s[order], rows_r1[order], sigma, domain, 1_000_000)
+        assert mixed.tobytes() == want[order].tobytes()
+
+
+def test_factor_ratios_reject_t_max_at_or_below_the_t_floor():
+    for t_max in (0.0, -5.0, 2.0, math.nan):
+        with pytest.raises(ValueError, match="t_max must exceed the t floor"):
+            check_factor_ratios_bounded(1.0, t_max=t_max)
+    with pytest.raises(ValueError, match="t floor 6.12"):
+        check_factor_ratios_bounded(5.0, t_max=6.0)
