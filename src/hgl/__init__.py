@@ -14,7 +14,7 @@ from .series import (HermiteSeries, MultiIndex, analyze, default_quad_order,
                      synthesize, synthesize_many)
 from .spectral import (GridError, GridSpec, NormSequence, apply_H, l2_norm, lp_norm,
                        norm_sequence, stirling_bounds, turning_point_extent)
-from .envelopes import (BoundCheckReport, EnvelopeParams, EnvelopeSearchError,
+from .envelopes import (BoundCheckReport, EnvelopeSearchError,
                         amplitude_factor_ratio,
                         check_envelope_factor_monotone, check_factor_ratios_bounded,
                         check_infimum_bound, check_peak_term_bounded, envelope_coeff_flat,

@@ -10,9 +10,8 @@ and the verdict comes from the drift of the implied radius across a tail
 window: flat/stable radii mean the existential ("for some r") flavor, radii
 driven to zero mean the universal ("for every r") flavor, growth means no
 fit.  Norm sequences of oscillator powers are inverted to per-power radii
-(against the canonical family at the same cutoff, or the closed-form
-envelope display) and run through the same drift machinery, which is what
-lets the two routes be cross-validated.
+(against the canonical family at the same cutoff) and run through the same
+drift machinery, which is what lets the two routes be cross-validated.
 
 Finitely many shells can never truly decide "for some r" against "for every
 r"; the estimators operationalize the dichotomy with window-stability rules,
@@ -434,17 +433,9 @@ def fit_radius_from_norms(seq: NormSequence, sigma: float | None = None,
                           radius_tol: float = RADIUS_TOL) -> EnvelopeFit:
     """Fit the flat-scale radius from a norm sequence of oscillator powers.
 
-    When the sequence records its degree cutoff, each power is inverted
-    against the canonical radius-r family at the same cutoff (exact for
-    on-model data at every N).  Without a cutoff the closed-form envelope
-    display is inverted instead,
-
-        log r_N = (log(N sigma)/N) (log ||H^N f|| - N log 2
-                   - N (1 - 1/log(N sigma)) log(2 N sigma / log(N sigma))),
-
-    whose finite-N transients decay like 1/log N, so the drift tolerance is
-    tripled on that route.  Only powers with N sigma > e enter; at least 6
-    are required.
+    Each power is inverted against the canonical radius-r family at the
+    sequence's degree cutoff (exact for on-model data at every N).  Only
+    powers with N sigma > e enter; at least 6 are required.
     """
     sig = seq.sigma if sigma is None else float(sigma)
     if sig <= 0:
@@ -455,18 +446,9 @@ def fit_radius_from_norms(seq: NormSequence, sigma: float | None = None,
     if np.count_nonzero(valid) < 6:
         return _nofit("norm_sigma", sig,
                       f"only {int(np.count_nonzero(valid))} powers with N*sigma > e")
-    N = orders[valid].astype(float)
-    if seq.max_degree is not None:
-        log_r = _matched_log_radii(log_norms[valid], N, sig,
-                                   seq.max_degree, seq.dimension)
-        return _drift_verdict(orders[valid], log_r, "norm_sigma", sig,
-                              drift_tol, radius_tol)
-    t = N * sig
-    lt = np.log(t)
-    log_r = (lt / N) * (log_norms[valid] - N * math.log(2.0)
-                        - N * (1.0 - 1.0 / lt) * np.log(2.0 * t / lt))
-    return _drift_verdict(orders[valid], log_r, "norm_sigma", sig,
-                          3.0 * drift_tol, 3.0 * radius_tol)
+    log_r = _matched_log_radii(log_norms[valid], orders[valid].astype(float), sig,
+                               seq.max_degree, seq.dimension)
+    return _drift_verdict(orders[valid], log_r, "norm_sigma", sig, drift_tol, radius_tol)
 
 
 @dataclass(frozen=True)

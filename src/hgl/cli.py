@@ -5,8 +5,13 @@ included), 3 suite failure (an envelope search that finds no extremum
 included).  Every report embeds the config that produced
 it, and identical configs produce byte-identical output files.
 
-The argument parser is built once per process and shared by every ``main``
-call; each call parses into a fresh namespace.
+One table, ``COMMANDS``, names the flags each command reads; the parser and
+every report's config are built from it, so a command accepts only the flags
+it reads and its config lists them in table order.  Abbreviated flags are
+refused.  For commands with an input, the config records the dimension and
+max degree of the series that ran, and ``quad_order`` only when the input
+went through quadrature.  The argument parser is built once per process and
+shared by every ``main`` call; each call parses into a fresh namespace.
 """
 
 from __future__ import annotations
@@ -51,91 +56,66 @@ def _finite_float(text: str) -> float:
     return value
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="hgl",
-        description="Hermite-spectral growth analysis: transforms, oscillator "
-                    "norms, growth envelopes, scale classification.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("--preset", help="preset spec, e.g. gaussian:1.0 or "
-                                            "synthetic_flat:1,1,80")
-            p.add_argument("--input", help="coefficient JSON or sampled CSV (d=1)")
-        p.add_argument("--dim", type=int, default=1, help="dimension (default 1)")
-        p.add_argument("--max-degree", type=int, default=10, dest="max_degree")
-        p.add_argument("--quad-order", type=int, default=None, dest="quad_order")
-        p.add_argument("--sigma", type=_finite_float, default=None)
-        p.add_argument("--s", type=_finite_float, default=None)
-        p.add_argument("--n-max", type=int, default=40, dest="n_max")
-        p.add_argument("--n0", type=int, default=0)
-        p.add_argument("--radius", type=_finite_float, default=1.0,
-                       help="envelope radius r (default 1)")
-        p.add_argument("--norm", default="l2",
-                       help="l2 | linf | lp:<p> | mod:<p>,<q>,<weight>")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default=None)
-
-    p_an = sub.add_parser("analyze", help="project input onto Hermite coefficients")
-    common(p_an)
-    p_an.set_defaults(func=cmd_analyze)
-
-    p_cl = sub.add_parser("classify", help="decide the growth class")
-    common(p_cl)
-    p_cl.set_defaults(func=cmd_classify)
-
-    p_env = sub.add_parser("envelope", help="tabulate a growth envelope")
-    common(p_env, needs_input=False)
-    p_env.add_argument("--target", choices=("norm", "coeff"), default="norm")
-    p_env.set_defaults(func=cmd_envelope)
-
-    p_no = sub.add_parser("norms", help="norm sequence of oscillator powers")
-    common(p_no)
-    p_no.set_defaults(func=cmd_norms)
-
-    p_ve = sub.add_parser("verify-lemmas", help="run the inequality suites")
-    common(p_ve, needs_input=False)
-    p_ve.add_argument("--t-min", type=_finite_float, default=None, dest="t_min")
-    p_ve.add_argument("--t-max", type=_finite_float, default=None, dest="t_max")
-    p_ve.set_defaults(func=cmd_verify_lemmas)
-
-    return parser
+# flag -> argparse keywords; the namespace key is the flag with "-" as "_"
+FLAGS = {
+    "preset": dict(help="preset spec, e.g. gaussian:1.0 or synthetic_flat:1,1,80"),
+    "input": dict(help="coefficient JSON or sampled CSV (d=1)"),
+    "dim": dict(type=int, default=1, help="dimension (default 1)"),
+    "max-degree": dict(type=int, default=10),
+    "quad-order": dict(type=int),
+    "sigma": dict(type=_finite_float),
+    "s": dict(type=_finite_float),
+    "radius": dict(type=_finite_float, default=1.0, help="envelope radius r (default 1)"),
+    "n-max": dict(type=int, default=40),
+    "norm": dict(default="l2", help="l2 | linf | lp:<p> | mod:<p>,<q>,<weight>"),
+    "n0": dict(type=int, default=0, help="first power N (default 0)"),
+    "target": dict(choices=("norm", "coeff"), default="norm"),
+    "t-min": dict(type=_finite_float),
+    "t-max": dict(type=_finite_float),
+    "format": dict(choices=("json", "csv")),
+    "out": dict(help="output path (default stdout)"),
+}
+_INPUT = ("preset", "input", "dim", "max-degree", "quad-order")
 
 
 def _json_input(args) -> bool:
     """Whether the series comes from a coefficient JSON file (--preset wins)."""
-    path = getattr(args, "input", None) or ""
-    return not getattr(args, "preset", None) and path.endswith(".json")
+    return not args.preset and (args.input or "").endswith(".json")
 
 
-def _config_dict(args, keys, series=None) -> dict:
-    """The report's config: the command and every key that is set.
+def _config_dict(args, series=None) -> dict:
+    """The report's config: the command and every flag it reads that is set,
+    in table order, without the output flags.
 
-    A coefficient JSON file fixes its own dimension and max degree and needs
-    no quadrature, so for that input the config records the loaded series'
-    values in place of --dim and --max-degree, and no quad_order.
+    With a series, the dimension and max degree are the series' own (a
+    coefficient preset or file fixes them, whatever --dim and --max-degree
+    say), and quad_order is recorded only if the series came from quadrature.
     """
     cfg = {"command": args.command}
-    loaded = {}
-    if series is not None and _json_input(args):
-        loaded = {"dim": series.dimension, "max_degree": series.max_degree, "quad_order": None}
-    for k in keys:
-        v = loaded[k] if k in loaded else getattr(args, k, None)
-        if v is not None:
-            cfg[k] = v
+    ran = {}
+    if series is not None:
+        ran = {"dim": series.dimension, "max_degree": series.max_degree}
+        if _json_input(args) or not series.truncation_tag.startswith("quadrature"):
+            ran["quad_order"] = None
+    *_, flags = COMMANDS[args.command]
+    for flag in flags:
+        if flag in ("format", "out"):    # they shape the output, not the run
+            continue
+        key = flag.replace("-", "_")
+        value = ran[key] if key in ran else getattr(args, key)
+        if value is not None:
+            cfg[key] = value
     return cfg
 
 
 def _resolve_series(args) -> HermiteSeries:
-    if getattr(args, "preset", None):
+    if args.preset:
         preset = Preset.parse(args.preset)
         return build_preset(preset, dimension=args.dim, max_degree=args.max_degree,
                             quad_order=args.quad_order)
     if _json_input(args):
         return load_series(args.input)
-    if getattr(args, "input", None):
+    if args.input:
         if args.dim != 1:
             raise InputFormatError("sampled CSV input implies dimension 1")
         xs, ys = load_samples_csv(args.input)
@@ -156,19 +136,14 @@ def _emit(text: str, out_path) -> None:
 
 def cmd_analyze(args) -> int:
     series = _resolve_series(args)
-    config = _config_dict(args, ("preset", "input", "dim", "max_degree", "quad_order"), series)
-    _emit(series_json(series, config), args.out)
+    _emit(series_json(series, _config_dict(args, series)), args.out)
     return EXIT_OK
 
 
 def cmd_classify(args) -> int:
-    if args.format == "csv":
-        raise InputFormatError("classification reports are JSON only")
     series = _resolve_series(args)
-    result = classify(series)
-    payload = {"config": _config_dict(args, ("preset", "input", "dim", "max_degree",
-                                             "quad_order", "sigma", "n_max"), series),
-               "classification": result.to_json_dict()}
+    payload = {"config": _config_dict(args, series),
+               "classification": classify(series).to_json_dict()}
     if args.sigma is not None:
         payload["cross_validation"] = cross_validate(series, args.sigma,
                                                      args.n_max).to_json_dict()
@@ -177,7 +152,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_envelope(args) -> int:
-    cfg = _config_dict(args, ("sigma", "s", "radius", "n_max", "max_degree", "target"))
+    cfg = _config_dict(args)
     rows = []
     skipped = 0
     r = args.radius
@@ -222,8 +197,7 @@ def cmd_envelope(args) -> int:
 def cmd_norms(args) -> int:
     series = _resolve_series(args)
     sigma = args.sigma if args.sigma is not None else 1.0
-    cfg = _config_dict(args, ("preset", "input", "dim", "max_degree", "quad_order",
-                              "sigma", "n_max", "norm", "n0"), series)
+    cfg = _config_dict(args, series)
     kind = args.norm
     if kind.startswith("mod:"):
         parts = kind[4:].split(",")
@@ -235,7 +209,7 @@ def cmd_norms(args) -> int:
         seq = norm_sequence_mod(series, args.n_max, params, sigma=sigma,
                                 n_min=args.n0)
     else:
-        seq = norm_sequence(series, args.n_max, kind, sigma)
+        seq = norm_sequence(series, args.n_max, kind, sigma, n_min=args.n0)
     if args.format == "json":
         text = report_json({"config": cfg,
                             "values": [{"N": n, "log_norm": (v.log_magnitude if v.sign else None),
@@ -247,7 +221,7 @@ def cmd_norms(args) -> int:
 
 
 def cmd_verify_lemmas(args) -> int:
-    cfg = _config_dict(args, ("sigma", "t_min", "t_max"))
+    cfg = _config_dict(args)
     t_max = args.t_max if args.t_max is not None else 1e3
     mono_t_max = args.t_max if args.t_max is not None else 200.0
 
@@ -264,10 +238,40 @@ def cmd_verify_lemmas(args) -> int:
     return EXIT_OK if all_passed else EXIT_SUITE
 
 
+# command -> (help, handler, the flags it reads in the order its config lists them)
+COMMANDS = {
+    "analyze": ("project input onto Hermite coefficients", cmd_analyze, _INPUT + ("out",)),
+    "classify": ("decide the growth class", cmd_classify,
+                 _INPUT + ("sigma", "n-max", "out")),
+    "envelope": ("tabulate a growth envelope", cmd_envelope,
+                 ("sigma", "s", "radius", "n-max", "max-degree", "target", "format", "out")),
+    "norms": ("norm sequence of oscillator powers", cmd_norms,
+              _INPUT + ("sigma", "n-max", "norm", "n0", "format", "out")),
+    "verify-lemmas": ("run the inequality suites", cmd_verify_lemmas, ("t-min", "t-max", "out")),
+}
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    # no prefix matching: an abbreviation, or a flag another command takes,
+    # could otherwise resolve to a flag this command reads
+    parser = _Parser(
+        prog="hgl", allow_abbrev=False,
+        description="Hermite-spectral growth analysis: transforms, oscillator "
+                    "norms, growth envelopes, scale classification.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **FLAGS[flag])
+    return parser
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _, handler, _ = COMMANDS[args.command]
     try:
-        return args.func(args)
+        return handler(args)
     except (InputFormatError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -24,7 +24,7 @@ from .logscalar import LogScalar
 from .series import MultiIndex
 
 __all__ = [
-    "EnvelopeParams", "BoundCheckReport", "EnvelopeSearchError",
+    "BoundCheckReport", "EnvelopeSearchError",
     "envelope_norm_flat", "envelope_coeff_flat", "envelope_coeff_s", "envelope_norm_s",
     "radius_factor_ratio", "amplitude_factor_ratio", "envelope_factor", "peak_term",
     "check_factor_ratios_bounded", "check_envelope_factor_monotone",
@@ -36,23 +36,6 @@ _E = math.e
 
 class EnvelopeSearchError(RuntimeError):
     """A bracket scan or a discrete scan did not find its extremum."""
-
-
-@dataclass(frozen=True)
-class EnvelopeParams:
-    """Scale sigma, radius r and dimension of a flat-scale envelope."""
-
-    sigma: float
-    radius: float
-    dimension: int = 1
-
-    def __post_init__(self):
-        if not (self.sigma > 0 and math.isfinite(self.sigma)):
-            raise ValueError("sigma must be finite and positive")
-        if not (self.radius > 0 and math.isfinite(self.radius)):
-            raise ValueError("radius must be finite and positive")
-        if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
 
 
 @dataclass(frozen=True)

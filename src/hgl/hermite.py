@@ -50,20 +50,9 @@ def _recurrence(kmax: int, x: np.ndarray):
 
 
 def hermite_eval(k: int, x: float) -> float:
-    """Value of the orthonormal Hermite function h_k at a real point.
-
-    Total on k >= 0 and finite x; returns 0.0 when the true value is below
-    the float64 range (genuine underflow, not loss of the recurrence).
-    """
-    if k < 0:
-        raise ValueError(f"degree must be >= 0, got {k}")
-    if not math.isfinite(x):
-        raise ValueError(f"evaluation point must be finite, got {x!r}")
-    for u, _, log_scale in _recurrence(k, np.array([float(x)])):
-        pass
-    if log_scale[0] < -745.0:
-        return 0.0
-    return float(u[0]) * math.exp(log_scale[0])
+    """Value of the orthonormal Hermite function h_k at a real point: the last
+    entry of ``hermite_matrix(k, [x])`` (0.0 where h_k(x) underflows float64)."""
+    return float(hermite_matrix(k, [x])[k, 0])
 
 
 def hermite_eval_multi(alpha, x) -> float:

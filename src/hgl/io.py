@@ -25,7 +25,7 @@ from .spectral import NormSequence
 from .logscalar import LogScalar
 
 __all__ = ["series_json", "save_series", "load_series", "load_samples_csv",
-           "norm_sequence_csv", "save_norm_sequence_csv", "save_stft_field_csv", "json_value",
+           "norm_sequence_csv", "save_norm_sequence_csv", "json_value",
            "report_json", "save_json_report", "atomic_write_text", "InputFormatError"]
 
 
@@ -207,28 +207,6 @@ def norm_sequence_csv(seq: NormSequence, config_line: str = "") -> str:
 def save_norm_sequence_csv(seq: NormSequence, path, config_line: str = "") -> None:
     """Write ``norm_sequence_csv(seq, config_line)`` to path."""
     atomic_write_text(path, norm_sequence_csv(seq, config_line))
-
-
-def save_stft_field_csv(fld, path) -> None:
-    """Write an STFT field: grid-spec header lines, then row-major |V| values.
-
-    Rows sweep the spatial axes, columns the frequency axes (flattened in C
-    order for dimension 2).
-    """
-    g = fld.grid
-    lines = [
-        f"# stft_field d={fld.dimension}",
-        f"# spatial_step={g.spatial_step!r} freq_step={g.freq_step!r}",
-        f"# spatial_extent={g.spatial_extent!r} freq_extent={g.freq_extent!r}",
-        f"# window_width={g.window_width!r}",
-        f"# nx={fld.x_axis.size} nxi={fld.xi_axis.size}",
-    ]
-    mag = np.abs(fld.values)
-    d = fld.dimension
-    rows = mag.reshape(fld.x_axis.size**d, fld.xi_axis.size**d)
-    for row in rows:
-        lines.append(",".join(repr(float(v)) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def json_value(obj):

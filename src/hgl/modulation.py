@@ -28,7 +28,7 @@ from .hermite import hermite_matrix
 from .quadrature import gauss_hermite_rule
 from .series import HermiteSeries
 from .spectral import (GridSpec, NormSequence, _as_log_scalar, _grid_log_norms,
-                       _powered_blocks, turning_point_extent)
+                       _power_range, _powered_blocks, turning_point_extent)
 
 __all__ = ["Weight", "StftGrid", "StftField", "MixedNormParams", "stft",
            "modulation_norm", "norm_sequence_mod", "norm_equiv_harness",
@@ -311,8 +311,8 @@ def norm_sequence_mod(series: HermiteSeries, n_max: int, params: MixedNormParams
     One STFT map per sequence; each power costs a contraction and one
     matrix product, and large N cannot overflow.
     """
+    powers = _power_range(n_min, n_max)
     grid = grid or StftGrid.default_for(series)
-    powers = range(n_min, n_max + 1)
     logs = _mod_log_norms(series, powers, [params], grid)[0]
     return NormSequence(dimension=series.dimension, sigma=sigma,
                         values=tuple((N, _as_log_scalar(v)) for N, v in zip(powers, logs)),

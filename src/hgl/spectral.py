@@ -45,7 +45,7 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class NormSequence:
-    """Norms of H^N f for N = 0..N_max, stored as (N, LogScalar) pairs.
+    """Norms of H^N f for consecutive powers N, stored as (N, LogScalar) pairs.
 
     ``max_degree`` records the degree cutoff of the series the norms came
     from; radius fits use it to evaluate the canonical comparison family at
@@ -55,8 +55,8 @@ class NormSequence:
     dimension: int
     sigma: float
     values: tuple
+    max_degree: int
     norm_kind: str = "l2"
-    max_degree: int | None = None
 
     def __post_init__(self):
         ns = [n for n, _ in self.values]
@@ -359,9 +359,17 @@ def _newton_peaks(blocks: np.ndarray, owner: np.ndarray, starts: np.ndarray,
     return g
 
 
+def _power_range(n_min: int, n_max: int) -> range:
+    """The powers n_min..n_max of a norm sequence; 0 <= n_min <= n_max."""
+    if not 0 <= n_min <= n_max:
+        raise ValueError(f"need 0 <= n0 <= n_max, got n0 = {n_min}, n_max = {n_max}")
+    return range(n_min, n_max + 1)
+
+
 def norm_sequence(series: HermiteSeries, n_max: int, norm_kind: str = "l2",
-                  sigma: float = 1.0, grid: GridSpec | None = None) -> NormSequence:
-    """Norms of H^N f for N = 0..n_max.
+                  sigma: float = 1.0, grid: GridSpec | None = None,
+                  n_min: int = 0) -> NormSequence:
+    """Norms of H^N f for N = n_min..n_max.
 
     ``norm_kind`` is "l2", "linf" or "lp:<p>".  The L2 route is a Parseval
     sum in the log domain.  The grid routes build the basis rows of their
@@ -373,7 +381,7 @@ def norm_sequence(series: HermiteSeries, n_max: int, norm_kind: str = "l2",
         raise ValueError("n_max must be >= 1")
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    powers = np.arange(n_max + 1)
+    powers = np.array(_power_range(n_min, n_max))
     if norm_kind == "l2":
         logs = _l2_log_norms_powered(series, powers)
         vals = [(int(n), LogScalar.from_log(l)) for n, l in zip(powers, logs)]

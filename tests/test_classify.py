@@ -165,14 +165,6 @@ class TestNormRoute:
         fit = fit_radius_from_norms(norm_sequence(s, 7, "l2", 1.0), 1.0)
         assert fit.verdict == "nofit"
 
-    def test_display_inversion_fallback(self):
-        # sequences without a recorded cutoff invert the closed-form display
-        s = synthetic_flat(1.0, 1.0, 80)
-        seq = norm_sequence(s, 60, "l2", 1.0)
-        from hgl.spectral import NormSequence
-        bare = NormSequence(dimension=1, sigma=1.0, values=seq.values, norm_kind="l2")
-        fit = fit_radius_from_norms(bare, 1.0)
-        assert fit.verdict == "roumieu"
 
 
 class TestCrossValidate:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -5,13 +6,38 @@ import math
 import numpy as np
 import pytest
 
-from hgl.cli import EXIT_INPUT, EXIT_OK, main
+from hgl.cli import EXIT_INPUT, EXIT_OK, build_parser, main
 
 from oracles import hermite_table, powered_abs_mp
 
 
 def run(args):
     return main(args)
+
+
+# the flags each command reads, in the order its report's config lists them
+INPUT = ["--preset", "--input", "--dim", "--max-degree", "--quad-order"]
+OPTIONS = {
+    "analyze": INPUT + ["--out"],
+    "classify": INPUT + ["--sigma", "--n-max", "--out"],
+    "envelope": ["--sigma", "--s", "--radius", "--n-max", "--max-degree", "--target",
+                 "--format", "--out"],
+    "norms": INPUT + ["--sigma", "--n-max", "--norm", "--n0", "--format", "--out"],
+    "verify-lemmas": ["--t-min", "--t-max", "--out"],
+}
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    parser = build_parser()
+    commands, = [a.choices for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    options = {name: [s for a in sub._actions for s in a.option_strings
+                      if s not in ("-h", "--help")]
+               for name, sub in commands.items()}
+    assert options == OPTIONS
+    assert sum(map(len, options.values())) == 36
+    assert not parser.allow_abbrev
+    assert not any(sub.allow_abbrev for sub in commands.values())
 
 
 class TestAnalyzeCommand:
@@ -99,6 +125,23 @@ def test_json_input_config_records_the_loaded_series(argv, tmp_path, capsys):
         assert "quad_order" not in config
 
 
+@pytest.mark.parametrize("argv,dim,max_degree,quad_order", [
+    (["analyze", "--preset", "hermite:1"], 1, 1, None),
+    (["analyze", "--preset", "hermite:2,1", "--quad-order", "40"], 2, 3, None),
+    (["classify", "--preset", "synthetic_flat:1,1,80", "--quad-order", "40"], 1, 80, None),
+    (["norms", "--preset", "finite_random:6,3", "--dim", "2", "--max-degree", "4",
+      "--format", "json"], 2, 6, None),
+    (["analyze", "--preset", "gaussian:1.0", "--max-degree", "4", "--quad-order", "40"],
+     1, 4, 40),
+])
+def test_preset_config_records_the_series_that_ran(argv, dim, max_degree, quad_order, capsys):
+    # a coefficient preset fixes d and M itself and uses no quadrature
+    assert run(argv) == EXIT_OK
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert (config["dim"], config["max_degree"], config.get("quad_order")) == (
+        dim, max_degree, quad_order)
+
+
 class TestClassifyCommand:
     def test_synthetic_flat(self, tmp_path):
         out = tmp_path / "report.json"
@@ -126,7 +169,9 @@ class TestClassifyCommand:
         assert abs(cls["parameter"] - 0.5) <= 0.05
 
     def test_csv_format_rejected(self):
-        assert run(["classify", "--preset", "hermite:1", "--format", "csv"]) == EXIT_INPUT
+        with pytest.raises(SystemExit) as usage:
+            run(["classify", "--preset", "hermite:1", "--format", "csv"])
+        assert usage.value.code == EXIT_INPUT
 
 
 class TestEnvelopeCommand:
@@ -192,6 +237,18 @@ class TestNormsCommand:
         rows = list(csv.reader(lines))
         assert rows[0] == ["N", "log_norm", "norm_kind"] and len(rows) == 6
         assert all(len(row) == 3 and row[2] == norm for row in rows[1:])
+
+    @pytest.mark.parametrize("norm", ["l2", "linf", "lp:3", "mod:2,2,const"])
+    def test_n0_rows_are_the_tail_of_the_full_run(self, capsys, norm):
+        argv = ["norms", "--preset", "synthetic_flat:1,1,12", "--norm", norm, "--n-max", "6"]
+        tables = {}
+        for n0 in (0, 4):
+            assert run(argv + ["--n0", str(n0)]) == EXIT_OK
+            lines = capsys.readouterr().out.splitlines()
+            assert json.loads(lines[0].removeprefix("# config: "))["n0"] == n0
+            tables[n0] = lines[2:]
+        assert [row.split(",")[0] for row in tables[4]] == ["4", "5", "6"]
+        assert tables[4] == tables[0][4:]
 
     def test_determinism_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -425,6 +482,18 @@ CONTRACT = [
     ("norms --preset gaussian:1.0 --norm lp:nan --n-max 3", 2),
     ("norms --preset gaussian:1.0 --norm mod:2,2", 2),
     ("verify-lemmas --t-max 400", 0),
+    # flags a command does not read, abbreviations and powers outside [0, n_max]
+    ("verify-lemmas --sigma 3", 2, "error: unrecognized arguments: --sigma 3"),
+    ("verify-lemmas --format csv", 2, "error: unrecognized arguments: --format csv"),
+    ("analyze --preset hermite:1 --format csv", 2, "error: unrecognized arguments"),
+    ("envelope --dim 2", 2, "error: unrecognized arguments: --dim 2"),
+    ("norms --preset hermite:0 --radius 2", 2, "error: unrecognized arguments"),
+    ("classify --preset hermite:3 --s 0.5", 2, "error: unrecognized arguments: --s 0.5"),
+    ("norms --preset hermite:0 --n-m 3", 2, "error: unrecognized arguments: --n-m 3"),
+    ("norms --preset hermite:0 --n0 5 --n-max 3", 2,
+     "error: need 0 <= n0 <= n_max, got n0 = 5, n_max = 3"),
+    ("norms --preset hermite:0 --norm mod:2,2,const --n0 -2", 2,
+     "error: need 0 <= n0 <= n_max, got n0 = -2, n_max = 40"),
     ("verify-lemmas --t-min 2.0", 2),
     ("verify-lemmas --t-max 8.0", 2),
     ("verify-lemmas --t-max Infinity", 2),

@@ -38,11 +38,13 @@ VALUES = {
     "--t-min": ("2", "7", "11", "inf"),
     "--t-max": ("0", "-5", "8", "150", "nan", "abc"),
 }
-COMMON = ("--dim", "--max-degree", "--quad-order", "--sigma", "--s", "--n-max", "--n0",
-          "--radius", "--norm", "--format")
-FLAGS = {"analyze": COMMON + ("--input",), "classify": COMMON + ("--input",),
-         "norms": COMMON + ("--input",), "envelope": COMMON + ("--target",),
-         "verify-lemmas": COMMON + ("--t-min", "--t-max")}
+# the flags each command reads, but --out, which would write files
+INPUT = ("--preset", "--input", "--dim", "--max-degree", "--quad-order")
+FLAGS = {"analyze": INPUT, "classify": INPUT + ("--sigma", "--n-max"),
+         "envelope": ("--sigma", "--s", "--radius", "--n-max", "--max-degree", "--target",
+                      "--format"),
+         "norms": INPUT + ("--sigma", "--n-max", "--norm", "--n0", "--format"),
+         "verify-lemmas": ("--t-min", "--t-max")}
 # unknown flags, a stray positional, missing values, another command's flags
 ODD = (["--bogus"], ["stray"], ["--sigma"], ["--t-max"], ["--preset", "gaussian:1.0"],
        ["--t-min", "7"], ["--target", "coeff"])
@@ -58,7 +60,7 @@ def _flag_value(flags):
 def argvs(draw):
     command = draw(st.sampled_from(COMMANDS))
     argv = [command]
-    if "--input" in FLAGS[command] and draw(st.integers(0, 3)):
+    if "--preset" in FLAGS[command] and draw(st.integers(0, 3)):
         argv += ["--preset", draw(st.sampled_from(VALUES["--preset"]))]
     for _ in range(draw(st.integers(0, 3))):
         argv += draw(_flag_value(FLAGS[command]))

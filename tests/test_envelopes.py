@@ -205,16 +205,6 @@ def test_check_reports_are_deterministic():
     assert c == d
 
 
-def test_envelope_params_validation():
-    from hgl import EnvelopeParams
-    p = EnvelopeParams(sigma=1.0, radius=2.0, dimension=2)
-    assert p.sigma == 1.0
-    with pytest.raises(ValueError):
-        EnvelopeParams(sigma=-1.0, radius=1.0)
-    with pytest.raises(ValueError):
-        EnvelopeParams(sigma=1.0, radius=math.inf)
-
-
 def test_infimum_cap_error_advises():
     import pytest as _pytest
     with _pytest.raises(RuntimeError, match="raise the cap"):

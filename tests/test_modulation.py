@@ -165,19 +165,3 @@ def test_norm_sequence_mod_matches_direct():
     direct = l2_norm(apply_H(s, 4)).log_magnitude
     assert seq.log_norms()[-1] == pytest.approx(direct, abs=0.02)
 
-
-def test_stft_field_csv_export(tmp_path):
-    from hgl.io import save_stft_field_csv
-    phi = HermiteSeries(dimension=1, max_degree=0, coefficients={(0,): 1.0})
-    fld = stft(phi, StftGrid.default_for(phi))
-    path = tmp_path / "field.csv"
-    save_stft_field_csv(fld, path)
-    lines = path.read_text().strip().splitlines()
-    header = [l for l in lines if l.startswith("#")]
-    assert any("spatial_step" in l for l in header)
-    data = [l for l in lines if not l.startswith("#")]
-    assert len(data) == fld.x_axis.size
-    assert len(data[0].split(",")) == fld.xi_axis.size
-    # peak of |V| is 1 at the center row/column
-    mid = data[fld.x_axis.size // 2].split(",")
-    assert float(mid[fld.xi_axis.size // 2]) == pytest.approx(1.0, abs=1e-9)
