@@ -383,23 +383,37 @@ def classify(series: HermiteSeries, sigma_probe_factor: float = 1.5) -> GrowthCl
 # norm-route fit and cross validation
 # ----------------------------------------------------------------------
 
+_NEWTON_STEPS = 100     # hard cap; no input seen needs more than 7
+
+
 def _matched_log_radii(log_norms: np.ndarray, powers: np.ndarray, sigma: float,
                        max_degree: int, dimension: int) -> np.ndarray:
     """Per power N, the radius whose canonical flat-scale family
 
         c_k = r^k k!^{-1/(2 sigma)},   k = 0..max_degree,
 
-    has the observed norm of H^N f (by bisection on log r; the family norm
-    is monotone in r).  Matching against the family at the same truncation
-    removes both the asymptotic slack of the closed-form envelope and the
-    degree-cutoff contamination at large N, neither of which the flavor
-    dichotomy is about.  Radii outside [exp(-100), exp(100)] are clipped
-    there.
+    has the observed norm of H^N f.  Matching against the family at the same
+    truncation removes both the asymptotic slack of the closed-form envelope
+    and the degree-cutoff contamination at large N, neither of which the
+    flavor dichotomy is about.
 
-    All powers are bisected together as one (powers, max_degree + 1) array
-    pass, 80 halvings of [-100, 100]; each row sees the same float
-    operations as a bisection of that power alone, so a radius does not
-    depend on the batch it is inverted in.
+    With u = log r the family's log norm is g(u) = (1/2) log sum_k exp(m_k),
+    m_k = t_k + 2 k u, t_k = -log k!/sigma + 2 N log(2k + d).  g is
+    increasing and convex, and g' is the softmax mean of k.
+
+    - Clip: a target T <= g(-100) gives -100 and T >= g(100) gives 100.
+    - Every other power is solved by Newton's method from above.  The start
+      is where term 0 (which does not move with u) and the single term k
+      that gets there first together reach T; g is at least those two terms,
+      so the start is at or above the root, and g being convex, each step
+      moves down towards it without crossing.  Steps stop at -100.
+    - A row retires when g(u) <= T or a step no longer decreases u.  g is
+      evaluated as its top term plus log1p of the others, so it keeps its
+      last bits where the others sum below the float epsilon.
+
+    All powers run as one (powers, max_degree + 1) array pass per step, with
+    row-local reductions only, so a radius does not depend on the batch it
+    is inverted in.
     """
     ks = np.arange(max_degree + 1, dtype=float)
     base_w = -gammaln(ks + 1.0) / sigma
@@ -407,25 +421,47 @@ def _matched_log_radii(log_norms: np.ndarray, powers: np.ndarray, sigma: float,
     terms = base_w + (2.0 * np.asarray(powers, dtype=float))[:, None] * lam
     two_k = 2.0 * ks
     target = np.asarray(log_norms, dtype=float)
+    every = np.arange(target.size)
 
-    def gap(log_r: np.ndarray) -> np.ndarray:
-        m = terms + two_k * log_r[:, None]
-        top = np.max(m, axis=1)
-        sums = np.sum(np.exp(m - top[:, None]), axis=1)
+    def top_terms(rows: np.ndarray, log_r: np.ndarray):
+        """Each row's largest exponent m_j, its index j, and exp(m - m_j)."""
+        m = terms[rows] + two_k * log_r[:, None]
+        j = np.argmax(m, axis=1)
+        top = m[np.arange(rows.size), j]
+        return top, j, np.exp(m - top[:, None])
+
+    def clip_gap(log_r: float) -> np.ndarray:
+        top, _, e = top_terms(every, np.full(target.size, log_r))
         # math.log, not np.log: the two differ in the last bit on some inputs
-        log_sums = np.array([math.log(v) for v in sums.tolist()])
+        log_sums = np.array([math.log(v) for v in np.sum(e, axis=1).tolist()])
         return 0.5 * (top + log_sums) - target
 
-    lo = np.full(target.size, -100.0)
-    hi = np.full(target.size, 100.0)
-    below = gap(lo) >= 0.0
-    above = gap(hi) <= 0.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        short = gap(mid) < 0.0          # family norm below the target
-        lo = np.where(short, mid, lo)
-        hi = np.where(short, hi, mid)
-    return np.where(below, -100.0, np.where(above, 100.0, 0.5 * (lo + hi)))
+    below = clip_gap(-100.0) >= 0.0
+    above = clip_gap(100.0) <= 0.0
+    out = np.where(below, -100.0, 100.0)
+    rows = every[~(below | above)]
+    if rows.size == 0:     # always so for max_degree = 0, where g is constant
+        return out
+    # T > g(-100) >= t_0/2, so exp(2T) - exp(t_0) > 0; the start solves
+    # t_k + 2 k u = log(exp(2T) - exp(t_0)) for the k that needs the least u
+    t2 = 2.0 * target[rows]
+    lead = t2 + np.array([math.log(-math.expm1(v)) for v in (terms[rows, 0] - t2).tolist()])
+    u = np.clip(np.min((lead[:, None] - terms[rows, 1:]) / two_k[1:], axis=1), -100.0, 100.0)
+    for _ in range(_NEWTON_STEPS):
+        top, j, e = top_terms(rows, u)
+        e[np.arange(rows.size), j] = 0.0
+        rest = np.sum(e, axis=1)
+        gap = 0.5 * (top + np.array([math.log1p(v) for v in rest.tolist()])) - target[rows]
+        live = gap > 0.0
+        step = u.copy()
+        slope = (np.sum(e[live] * ks, axis=1) + j[live]) / (1.0 + rest[live])
+        step[live] = np.maximum(u[live] - gap[live] / slope, -100.0)
+        done = ~(step < u)
+        out[rows[done]] = u[done]
+        rows, u = rows[~done], step[~done]
+        if rows.size == 0:
+            return out
+    raise RuntimeError(f"radius inversion did not converge in {_NEWTON_STEPS} Newton steps")
 
 
 def fit_radius_from_norms(seq: NormSequence, sigma: float | None = None,

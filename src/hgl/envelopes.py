@@ -315,7 +315,10 @@ def check_envelope_factor_monotone(sigma: float, t_max: float = 200.0, nt: int =
         F(r, t) <= F(r^{(e-1)/e}, t + s0)      for r in (0, 1],
 
     for s0 in [0, sigma] and t above sigma(e+1) + e.  Fails on any violation
-    beyond the rounding slack.
+    beyond the rounding slack.  Rows that compare F with itself (s0 = 0 with
+    the same radius on both sides: every r >= 1, and r = 1 below) are
+    skipped, so ``max_log_violation`` is the real margin, negative on a
+    passing grid.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
@@ -342,6 +345,8 @@ def check_envelope_factor_monotone(sigma: float, t_max: float = 200.0, nt: int =
     for s0 in sigma0s:
         amp, tl = _factor_parts(ts + s0)
         for branch, r, r_right in branches:
+            if s0 == 0.0 and r_right == r:
+                continue
             diffs = left[r] - (amp + tl * math.log(r_right))
             i = int(np.argmax(diffs))
             if diffs[i] > worst:

@@ -2,9 +2,13 @@
 
 All writers are deterministic (sorted entries, fixed key order) and atomic
 (write to a sibling temp file, then rename), so identical inputs produce
-byte-identical files.  Reports are strict JSON: ``json_value`` is the one
-converter from report fields to plain values, and non-finite floats are
-written as null.
+byte-identical files.  Reports are strict JSON with the layout of
+``json.dumps(..., indent=1)``.  One set of rules (``_plain``) turns report
+fields into plain values: LogScalar becomes {"sign", "log"}, numpy values
+their ``tolist()``, and non-finite floats null.  ``report_json`` applies the
+rules while it writes, in one walk, and the coefficient JSON writer uses
+that walk for its config object; ``json_value`` applies them without
+writing, for reports that are returned as dicts.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import os
 import tempfile
 from io import StringIO
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +71,7 @@ def series_json(series: HermiteSeries, config: dict | None = None) -> str:
     for alpha components and ``%r`` (``float.__repr__``, as ``json`` writes
     floats) for re and im.  The stdlib encoder falls back to pure Python
     when ``indent`` is set, which is several times slower on large tensors.
+    The config is written by the report walk (``report_json``).
     """
     bad = ~np.isfinite(series.values)
     if bad.any():
@@ -81,8 +87,7 @@ def series_json(series: HermiteSeries, config: dict | None = None) -> str:
             % (series.dimension, series.max_degree, entries + "\n " if entries else ""))
     if config is None:
         return text + "\n}\n"
-    # '{\n "config": {...}\n}' less its opening brace continues the object
-    return text + "," + json.dumps({"config": config}, indent=1, allow_nan=False)[1:] + "\n"
+    return text + ',\n "config": ' + _json_text(config, " ") + "\n}\n"
 
 
 def save_series(series: HermiteSeries, path) -> None:
@@ -209,28 +214,89 @@ def save_norm_sequence_csv(seq: NormSequence, path, config_line: str = "") -> No
     atomic_write_text(path, norm_sequence_csv(seq, config_line))
 
 
-def json_value(obj):
-    """Plain JSON value of a report field, walking dicts, lists and tuples.
-
-    LogScalar becomes {"sign", "log"}, numpy scalars and arrays become plain
-    values, and non-finite floats become None (null).
-    """
+def _plain(obj):
+    """One node under the report rules: LogScalar becomes {"sign", "log"},
+    numpy scalars and arrays their ``tolist()`` values, non-finite floats
+    None (null); anything else is returned as it is."""
     if isinstance(obj, float):  # numpy float64 included
         return float(obj) if math.isfinite(obj) else None
+    if isinstance(obj, LogScalar):
+        return obj.to_json_pair()
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return _plain(obj.tolist())
+    return obj
+
+
+def json_value(obj):
+    """Plain JSON value of a report field: ``_plain`` at every node of its
+    dicts, lists and tuples (tuples become lists)."""
+    obj = _plain(obj)
     if isinstance(obj, dict):
         return {k: json_value(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [json_value(v) for v in obj]
-    if isinstance(obj, LogScalar):
-        return json_value(obj.to_json_pair())
-    if isinstance(obj, (np.ndarray, np.generic)):
-        return json_value(obj.tolist())
     return obj
 
 
+def _json_key(key) -> str:
+    """A dict key as ``json`` writes it: str, float, bool, None or int."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if isinstance(key, float):
+        if not math.isfinite(key):
+            raise ValueError(f"Out of range float values are not JSON compliant: {key!r}")
+        return '"' + float.__repr__(key) + '"'
+    if key is True or key is False or key is None:
+        return '"' + {True: "true", False: "false", None: "null"}[key] + '"'
+    if isinstance(key, int):
+        return '"' + int.__repr__(key) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _float_text(x: float) -> str:
+    return float.__repr__(x) if math.isfinite(x) else "null"
+
+
+# text of a node of exactly one of these types, which the rules leave as it is
+_LEAF_TEXT = {str: encode_basestring_ascii, int: int.__repr__, float: _float_text,
+              bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null"}
+
+
+def _json_text(obj, indent: str) -> str:
+    """JSON text of ``json_value(obj)`` at nesting ``indent`` (one space a
+    level), byte for byte what ``json.dumps(..., indent=1, allow_nan=False)``
+    writes for it, built in the same walk that applies the rules."""
+    obj = _plain(obj)
+    get = _LEAF_TEXT.get
+    leaf = get(type(obj))
+    if leaf is not None:
+        return leaf(obj)
+    inner = indent + " "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [leaf(v) if (leaf := get(type(v))) else _json_text(v, inner) for v in obj]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [_json_key(k) + ": " + (leaf(v) if (leaf := get(type(v))) else _json_text(v, inner))
+                 for k, v in obj.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if isinstance(obj, str):    # subclasses of str and int, as json writes them
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
 def report_json(payload: dict) -> str:
-    """Strict JSON text of a report (no NaN or Infinity tokens)."""
-    return json.dumps(json_value(payload), indent=1, allow_nan=False) + "\n"
+    """Strict JSON text of a report (no NaN or Infinity tokens): one walk
+    that applies ``json_value``'s rules while it writes the bytes of
+    ``json.dumps(json_value(payload), indent=1, allow_nan=False) + "\\n"``.
+    The stdlib encoder falls back to pure Python when ``indent`` is set and
+    would walk the payload a second time."""
+    return _json_text(payload, "") + "\n"
 
 
 def save_json_report(payload: dict, path) -> None:

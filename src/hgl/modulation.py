@@ -304,7 +304,7 @@ def _mod_log_norms(series: HermiteSeries, powers, params_list, grid: StftGrid) -
 
 
 def norm_sequence_mod(series: HermiteSeries, n_max: int, params: MixedNormParams,
-                      grid: StftGrid | None = None, sigma: float = 1.0,
+                      sigma: float = 1.0, *, grid: StftGrid | None = None,
                       n_min: int = 0) -> NormSequence:
     """Modulation norms of H^N f for N = n_min..n_max, d <= 2.
 

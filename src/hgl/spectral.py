@@ -360,14 +360,17 @@ def _newton_peaks(blocks: np.ndarray, owner: np.ndarray, starts: np.ndarray,
 
 
 def _power_range(n_min: int, n_max: int) -> range:
-    """The powers n_min..n_max of a norm sequence; 0 <= n_min <= n_max."""
+    """The powers n_min..n_max of a norm sequence; n_max >= 1 and
+    0 <= n_min <= n_max."""
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     if not 0 <= n_min <= n_max:
         raise ValueError(f"need 0 <= n0 <= n_max, got n0 = {n_min}, n_max = {n_max}")
     return range(n_min, n_max + 1)
 
 
 def norm_sequence(series: HermiteSeries, n_max: int, norm_kind: str = "l2",
-                  sigma: float = 1.0, grid: GridSpec | None = None,
+                  sigma: float = 1.0, *, grid: GridSpec | None = None,
                   n_min: int = 0) -> NormSequence:
     """Norms of H^N f for N = n_min..n_max.
 
@@ -377,11 +380,9 @@ def norm_sequence(series: HermiteSeries, n_max: int, norm_kind: str = "l2",
     by exp(-max log|c_alpha (2|alpha|+d)^N|), adding that scale back in log
     space; every route therefore tolerates any power.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    powers = np.array(_power_range(n_min, n_max))
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    powers = np.array(_power_range(n_min, n_max))
     if norm_kind == "l2":
         logs = _l2_log_norms_powered(series, powers)
         vals = [(int(n), LogScalar.from_log(l)) for n, l in zip(powers, logs)]

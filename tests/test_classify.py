@@ -274,31 +274,78 @@ class TestMatchedRadiiOracle:
         assert list(got) == [-100.0] * 3 + [100.0] * 3
 
     @staticmethod
-    def bisect_one(target, n, sigma, max_degree, dim):
-        """The per-power loop the batched bisection replaced, as a reference."""
+    def bisect(targets, powers, sigma, max_degree, dim):
+        """The 80-halving bisection of [-100, 100] that Newton's method
+        replaced, kept as an oracle (same clip tests, per-row operations)."""
         ks = np.arange(max_degree + 1, dtype=float)
-        terms = -gammaln(ks + 1.0) / sigma + 2.0 * float(n) * np.log(2.0 * ks + dim)
+        terms = (-gammaln(ks + 1.0) / sigma
+                 + (2.0 * np.asarray(powers, dtype=float))[:, None] * np.log(2.0 * ks + dim))
 
         def gap(log_r):
-            m = terms + 2.0 * ks * log_r
-            hi = float(np.max(m))
-            return 0.5 * (hi + math.log(np.sum(np.exp(m - hi)))) - target
+            m = terms + 2.0 * ks * log_r[:, None]
+            top = np.max(m, axis=1)
+            sums = np.sum(np.exp(m - top[:, None]), axis=1)
+            return 0.5 * (top + np.array([math.log(v) for v in sums.tolist()])) - targets
 
-        lo, hi = -100.0, 100.0
-        if gap(lo) >= 0.0:
-            return lo
-        if gap(hi) <= 0.0:
-            return hi
+        lo, hi = np.full(len(targets), -100.0), np.full(len(targets), 100.0)
+        below, above = gap(lo) >= 0.0, gap(hi) <= 0.0
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            if gap(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+            short = gap(mid) < 0.0
+            lo, hi = np.where(short, mid, lo), np.where(short, hi, mid)
+        return np.where(below, -100.0, np.where(above, 100.0, 0.5 * (lo + hi)))
+
+    @staticmethod
+    def family_log_norms(mpmath, log_rs, n, sigma, max_degree, dim):
+        """family_log_norm at several radii; terms more than 120 below the
+        largest (relative weight under 1e-52) are left out of the sum."""
+        ks = np.arange(max_degree + 1)
+        with mpmath.workdps(40):
+            base = [2 * n * mpmath.log(2 * k + dim) - mpmath.loggamma(k + 1) / sigma
+                    for k in range(max_degree + 1)]
+            approx = np.array([float(b) for b in base])
+            out = []
+            for log_r in log_rs:
+                m = approx + 2.0 * ks * log_r
+                keep = np.nonzero(m >= m.max() - 120.0)[0]
+                terms = [base[k] + 2 * int(k) * mpmath.mpf(log_r) for k in keep]
+                top = max(terms)
+                out.append(top / 2 + mpmath.log(mpmath.fsum(mpmath.exp(t - top)
+                                                            for t in terms)) / 2)
+            return out
+
+    def assert_as_good_as_bisection(self, mpmath, targets, powers, sigma, max_degree, dim):
+        """Newton's radii against the bisection's: clips equal; the exact
+        residual |g(u) - T| at most the bisection's plus 4 ulp(T) plus
+        g'(u) ulp(u), the change of g over one float step of u (rounding in
+        g's largest terms can exceed 4 ulp(T) where |T| is small beside
+        them); and the radii within 1e-12 max(1, |u|) where g'(u) >= 1
+        (below that the root is ill-conditioned: at log r = -40 both
+        residuals are near 1e-17 while the radii differ by up to 1e-7)."""
+        import sys
+        got = sys.modules["hgl.classify"]._matched_log_radii(targets, powers, sigma,
+                                                             max_degree, dim)
+        want = self.bisect(targets, powers, sigma, max_degree, dim)
+        ks = np.arange(max_degree + 1, dtype=float)
+        for target, n, u, ub in zip(targets.tolist(), powers.tolist(), got.tolist(),
+                                    want.tolist()):
+            if ub in (-100.0, 100.0):
+                assert u == ub
+                continue
+            m = (2.0 * ks * u - gammaln(ks + 1.0) / sigma + 2.0 * n * np.log(2.0 * ks + dim))
+            w = np.exp(m - m.max())
+            slope = float(np.sum(w * ks) / np.sum(w))
+            g_new, g_old = self.family_log_norms(mpmath, (u, ub), int(n), sigma,
+                                                 max_degree, dim)
+            resid, resid_old = abs(float(g_new - target)), abs(float(g_old - target))
+            assert resid <= resid_old + 4 * math.ulp(target) + slope * math.ulp(u), \
+                (sigma, max_degree, dim, n, target, u, ub)
+            if slope >= 1.0:
+                assert abs(u - ub) <= 1e-12 * max(1.0, abs(u)), (sigma, max_degree, dim, n, u, ub)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_rows_match_the_scalar_loop_alone_and_in_a_batch(self, dim):
+        mpmath = pytest.importorskip("mpmath")
         from hgl.classify import _matched_log_radii
         rng = np.random.default_rng(dim)
         powers = rng.integers(1, 120, size=400).astype(float)
@@ -311,5 +358,38 @@ class TestMatchedRadiiOracle:
         rows = range(0, 400, 4)
         alone = np.array([_matched_log_radii(targets[i:i + 1], powers[i:i + 1], 1.3, 80, dim)[0]
                           for i in rows])
-        loop = np.array([self.bisect_one(targets[i], powers[i], 1.3, 80, dim) for i in rows])
-        assert alone.tobytes() == batch[::4].tobytes() == loop.tobytes()
+        assert alone.tobytes() == batch[::4].tobytes()
+        self.assert_as_good_as_bisection(mpmath, targets[::4], powers[::4], 1.3, 80, dim)
+
+    @pytest.mark.parametrize("sigma", [0.1, 0.3, 0.5, 1.0, 3.0, 5.0])
+    def test_newton_sweep_converges_in_few_steps(self, sigma, monkeypatch):
+        """Targets of the family at log r in {-40, -5, 0, 5, 40}, inverted
+        with the step cap lowered to 10; the worst case seen takes 7."""
+        mpmath = pytest.importorskip("mpmath")
+        import sys
+        monkeypatch.setattr(sys.modules["hgl.classify"], "_NEWTON_STEPS", 10)
+        log_rs = (-40.0, -5.0, 0.0, 5.0, 40.0)
+        for max_degree in (1, 2, 12, 200, 400):
+            for dim in (1, 2, 3):
+                powers, targets = [], []
+                for n in (1, 2, 5, 20, 100, 400, 1000):
+                    powers += [float(n)] * len(log_rs)
+                    targets += [float(v) for v in self.family_log_norms(
+                        mpmath, log_rs, n, sigma, max_degree, dim)]
+                self.assert_as_good_as_bisection(mpmath, np.array(targets), np.array(powers),
+                                                 sigma, max_degree, dim)
+
+    def test_zero_max_degree_only_clips(self):
+        from hgl.classify import _matched_log_radii
+        # with the one k = 0 term the family norm is (2N log d)/2 at every r
+        powers = np.array([1.0, 3.0, 3.0, 7.0])
+        targets = np.array([-1.0, 3.0 * math.log(2.0), 5.0, 0.0])
+        got = _matched_log_radii(targets, powers, 1.0, 0, 2)
+        assert got.tolist() == [-100.0, -100.0, 100.0, -100.0]
+
+    def test_step_cap_raises(self, monkeypatch):
+        import sys
+        from hgl.classify import _matched_log_radii
+        monkeypatch.setattr(sys.modules["hgl.classify"], "_NEWTON_STEPS", 1)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            _matched_log_radii(np.array([500.0]), np.array([9.0]), 1.0, 80, 1)

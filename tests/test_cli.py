@@ -494,6 +494,8 @@ CONTRACT = [
      "error: need 0 <= n0 <= n_max, got n0 = 5, n_max = 3"),
     ("norms --preset hermite:0 --norm mod:2,2,const --n0 -2", 2,
      "error: need 0 <= n0 <= n_max, got n0 = -2, n_max = 40"),
+    ("norms --preset hermite:0 --norm mod:2,2,const --n-max 0", 2,
+     "error: n_max must be >= 1"),
     ("verify-lemmas --t-min 2.0", 2),
     ("verify-lemmas --t-max 8.0", 2),
     ("verify-lemmas --t-max Infinity", 2),

@@ -471,7 +471,10 @@ class TestEnvelopeFormulasOracle:
 # they must match bit for bit.
 
 def _monotone_pointwise(sigma, t_max, nt, t_min, r_up=(1.0, 2.0, 10.0),
-                        r_down=(0.1, 0.5, 1.0), n_sigma0=3):
+                        r_down=(0.1, 0.5, 1.0), n_sigma0=3, left_at_t_plus_s0=False):
+    """The suite point by point; rows comparing F(r, t) with itself are
+    skipped.  ``left_at_t_plus_s0`` evaluates the left side at t + s0, a
+    mutation the report must show."""
     lo = sigma * (E + 1.0) + E
     ts = np.linspace(lo + 0.1 if t_min is None else t_min, t_max, nt)
     worst, witness = -math.inf, {}
@@ -479,7 +482,10 @@ def _monotone_pointwise(sigma, t_max, nt, t_min, r_up=(1.0, 2.0, 10.0),
                 + [("r_le_1", r, r ** ((E - 1.0) / E)) for r in r_down])
     for s0 in np.linspace(0.0, sigma, n_sigma0):
         for branch, r, r_right in branches:
-            diffs = np.array([envelope_factor(r, t).log_magnitude
+            if s0 == 0.0 and r_right == r:
+                continue
+            shift = s0 if left_at_t_plus_s0 else 0.0
+            diffs = np.array([envelope_factor(r, t + shift).log_magnitude
                               - envelope_factor(r_right, t + s0).log_magnitude for t in ts])
             i = int(np.argmax(diffs))
             if diffs[i] > worst:
@@ -493,8 +499,7 @@ class TestSuitesMatchPointwiseEvaluation:
     @pytest.mark.parametrize("sigma", [0.3, 1.0, 2.0, 5.0])
     @pytest.mark.parametrize("nt", [7, 120])
     @pytest.mark.parametrize("t_min_offset", [None, 1.7])
-    # without an r >= 1 branch the s0 = 0 rows are not exactly 0, so the
-    # maximum and its witness depend on every row
+    # with and without the r >= 1 branch, whose rows all have s0 > 0
     @pytest.mark.parametrize("radii", [{}, {"r_up": (), "r_down": (0.1, 0.5, 0.9)}],
                              ids=["default_radii", "r_le_1_only"])
     def test_monotone(self, sigma, nt, t_min_offset, radii):
@@ -503,6 +508,13 @@ class TestSuitesMatchPointwiseEvaluation:
         worst, witness = _monotone_pointwise(sigma, 200.0, nt, t_min, **radii)
         assert report.details["max_log_violation"].hex() == worst.hex()
         assert report.witness == witness
+
+    @pytest.mark.parametrize("sigma", [1.0, 2.0])
+    def test_monotone_report_shows_a_left_side_at_t_plus_s0(self, sigma):
+        report = check_envelope_factor_monotone(sigma)
+        assert report.passed and report.details["max_log_violation"] < 0.0
+        mutated = _monotone_pointwise(sigma, 200.0, 120, None, left_at_t_plus_s0=True)
+        assert mutated != (report.details["max_log_violation"], report.witness)
 
     def test_factor_parts_on_a_dense_grid(self):
         # dense enough that np.log and math.log disagree on some of its points

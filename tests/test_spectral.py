@@ -113,6 +113,27 @@ class TestNormSequence:
         s = finite_random(9, 0)
         assert norm_sequence(s, 2).max_degree == 9
 
+    def test_grid_and_n_min_are_keyword_only(self):
+        from hgl import MixedNormParams, StftGrid, Weight, norm_sequence_mod
+        s = finite_random(6, 1)
+        params = MixedNormParams(2, 2, Weight())
+        with pytest.raises(TypeError):
+            norm_sequence(s, 3, "linf", 1.0, GridSpec())
+        with pytest.raises(TypeError):
+            norm_sequence_mod(s, 3, params, 1.0, StftGrid.default_for(s))
+        # sigma is the fourth positional argument of both
+        assert norm_sequence(s, 3, "l2", 0.5).sigma == 0.5
+        assert norm_sequence_mod(s, 3, params, 0.5).sigma == 0.5
+
+    @pytest.mark.parametrize("n_max", [0, -2])
+    def test_both_routes_refuse_n_max_below_one(self, n_max):
+        from hgl import MixedNormParams, Weight, norm_sequence_mod
+        s = HermiteSeries(dimension=1, max_degree=0, coefficients={(0,): 1.0})
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            norm_sequence(s, n_max, "linf")
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            norm_sequence_mod(s, n_max, MixedNormParams(2, 2, Weight()))
+
 
 class TestOnePowerIsSequenceRow:
     """lp_norm of one power and the sequence route share one code path."""
