@@ -406,7 +406,8 @@ def _matched_log_radii(log_norms: np.ndarray, powers: np.ndarray, sigma: float,
       is where term 0 (which does not move with u) and the single term k
       that gets there first together reach T; g is at least those two terms,
       so the start is at or above the root, and g being convex, each step
-      moves down towards it without crossing.  Steps stop at -100.
+      moves down towards it without crossing.  Starts and steps are kept
+      within [-100, 100].
     - A row retires when g(u) <= T or a step no longer decreases u.  g is
       evaluated as its top term plus log1p of the others, so it keeps its
       last bits where the others sum below the float epsilon.

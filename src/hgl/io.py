@@ -242,14 +242,10 @@ def _json_key(key) -> str:
     """A dict key as ``json`` writes it: str, float, bool, None or int."""
     if isinstance(key, str):
         return encode_basestring_ascii(key)
-    if isinstance(key, float):
-        if not math.isfinite(key):
-            raise ValueError(f"Out of range float values are not JSON compliant: {key!r}")
-        return '"' + float.__repr__(key) + '"'
-    if key is True or key is False or key is None:
-        return '"' + {True: "true", False: "false", None: "null"}[key] + '"'
-    if isinstance(key, int):
-        return '"' + int.__repr__(key) + '"'
+    if isinstance(key, float) and not math.isfinite(key):
+        raise ValueError(f"Out of range float values are not JSON compliant: {key!r}")
+    if isinstance(key, (float, int)) or key is None:    # bool is an int
+        return '"' + _json_text(key, "") + '"'
     raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 

@@ -87,6 +87,7 @@ def test_report_json_matches_the_two_walks(payload):
     ({math.nan: 1}, ValueError),
     ({(1, 2): 1}, TypeError),
     ({np.int64(3): 1}, TypeError),
+    ({np.bool_(True): 1}, TypeError),
     ({"x": {1, 2}}, TypeError),
     ({"x": 1j}, TypeError),
 ])
@@ -99,7 +100,7 @@ def test_unwritable_payloads_raise_as_the_stdlib_does(payload, error):
 
 
 def test_keys_of_every_kind_json_accepts():
-    payload = {"s": 1, 2.5: 2, True: 3, False: 4, None: 5, 7: 6}
+    payload = {"s": 1, 2.5: 2, True: 3, False: 4, None: 5, 7: 6, np.float64(0.25): 7}
     assert report_json(payload) == oracle_text(payload)
 
 
