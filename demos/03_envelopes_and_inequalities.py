@@ -5,13 +5,13 @@ Writes envelope_table.csv and suite_report.json next to this script.
 Run:  python3 demos/03_envelopes_and_inequalities.py
 """
 
-import json
 import math
 from pathlib import Path
 
 from hgl import (check_envelope_factor_monotone, check_factor_ratios_bounded,
                  check_infimum_bound, check_peak_term_bounded, envelope_coeff_flat,
                  envelope_factor, envelope_norm_flat, envelope_norm_s)
+from hgl.io import report_json
 
 # --- pointwise envelope values ----------------------------------------------
 print("norm envelope 2^N r^{N/log(N s)} (2Ns/log(Ns))^{N(1-1/log(Ns))}:")
@@ -51,5 +51,5 @@ for rep in reports:
     print(f"  {rep.name:26s} passed={rep.passed}  "
           f"fitted=exp({rep.fitted_constant.log_magnitude:8.4f})")
 out = Path(__file__).with_name("suite_report.json")
-out.write_text(json.dumps([r.to_json_dict() for r in reports], indent=1) + "\n")
+out.write_text(report_json(reports))
 print("wrote", out)

@@ -6,11 +6,11 @@ norm envelopes) are run side by side and cross-validated.
 Run:  python3 demos/04_classification.py
 """
 
-import json
 from pathlib import Path
 
 from hgl import (HermiteSeries, classify, coeff_bound_from_norms, cross_validate,
                  norm_sequence, shell_profile, synthetic_flat, synthetic_s)
+from hgl.io import report_json
 
 # --- classify knows the three kinds ------------------------------------------
 examples = {
@@ -45,7 +45,7 @@ print("  at an over-generous sigma=3 both routes flip:",
       rep_wrong.coeff_flavor, "/", rep_wrong.norm_flavor)
 
 report_path = Path(__file__).with_name("classification_report.json")
-report_path.write_text(json.dumps(rep.to_json_dict(), indent=1) + "\n")
+report_path.write_text(report_json(rep))
 print("wrote", report_path)
 
 # --- certified coefficient bounds from norms -----------------------------------

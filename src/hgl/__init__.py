@@ -9,26 +9,21 @@ route cross-validating each other.
 
 from .logscalar import LogRangeError, LogScalar
 from .hermite import hermite_eval, hermite_eval_multi, hermite_matrix
-from .quadrature import QuadratureError, QuadratureRule, gauss_hermite_rule
-from .series import (HermiteSeries, MultiIndex, analyze, default_quad_order,
-                     synthesize, synthesize_many)
+from .quadrature import QuadratureError, gauss_hermite_rule
+from .series import HermiteSeries, MultiIndex, analyze, synthesize, synthesize_many
 from .spectral import (GridError, GridSpec, NormSequence, apply_H, l2_norm, lp_norm,
-                       norm_sequence, stirling_bounds, turning_point_extent)
-from .envelopes import (BoundCheckReport, EnvelopeSearchError,
-                        amplitude_factor_ratio,
+                       norm_sequence, stirling_bounds)
+from .envelopes import (EnvelopeSearchError, amplitude_factor_ratio,
                         check_envelope_factor_monotone, check_factor_ratios_bounded,
                         check_infimum_bound, check_peak_term_bounded, envelope_coeff_flat,
                         envelope_coeff_s, envelope_factor, envelope_norm_flat,
                         envelope_norm_s, infimum_coeff_bound, peak_term,
                         radius_factor_ratio)
-from .classify import (CrossValidationReport, EnvelopeFit, GrowthClass, ShellProfile,
-                       classify, coeff_bound_from_norms, cross_validate, estimate_s,
+from .classify import (classify, coeff_bound_from_norms, cross_validate, estimate_s,
                        estimate_sigma, fit_flat_sigma, fit_radius_from_norms,
                        fit_s_type, shell_profile)
-from .modulation import (MixedNormParams, NormEquivReport, StftField, StftGrid,
-                         StftGridError, Weight, modulation_norm, norm_equiv_harness,
-                         norm_sequence_mod, stft)
-from .presets import (Preset, build_preset, finite_random, gaussian_callable,
-                      modulated_gaussian_callable, synthetic_flat, synthetic_s)
+from .modulation import (MixedNormParams, StftGrid, StftGridError, Weight,
+                         modulation_norm, norm_equiv_harness, norm_sequence_mod, stft)
+from .presets import Preset, build_preset, finite_random, synthetic_flat, synthetic_s
 
 __version__ = "0.1.0"

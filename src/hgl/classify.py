@@ -103,22 +103,6 @@ class EnvelopeFit:
     reason: str = ""
     gauge: str = GAUGE_NOTE
 
-    def to_json_dict(self) -> dict:
-        return {
-            "scale_kind": self.scale_kind,
-            "scale": self.scale,
-            "verdict": self.verdict,
-            "radius": self.radius.to_json_pair(),
-            "fit_window": list(self.fit_window),
-            "drift": self.drift,
-            "stability": self.stability,
-            "orders": [int(k) for k in self.orders],
-            "log_radii": [float(v) for v in self.log_radii],
-            "residuals": [float(v) for v in self.residuals],
-            "reason": self.reason,
-            "gauge": self.gauge,
-        }
-
 
 def _nofit(scale_kind: str, scale: float, reason: str) -> EnvelopeFit:
     return EnvelopeFit(scale_kind=scale_kind, scale=scale, verdict="nofit",
@@ -323,20 +307,8 @@ class GrowthClass:
     flavor: str | None = None
     radius: LogScalar | None = None
     degree: int | None = None
+    gauge: str = field(default=GAUGE_NOTE, init=False)
     diagnostics: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        diag = {k: (v.to_json_dict() if isinstance(v, EnvelopeFit) else v)
-                for k, v in self.diagnostics.items()}
-        return {
-            "kind": self.kind,
-            "parameter": self.parameter,
-            "flavor": self.flavor,
-            "radius": self.radius.to_json_pair() if self.radius else None,
-            "degree": self.degree,
-            "gauge": GAUGE_NOTE,
-            "diagnostics": diag,
-        }
 
 
 def classify(series: HermiteSeries, sigma_probe_factor: float = 1.5) -> GrowthClass:
@@ -503,16 +475,6 @@ class CrossValidationReport:
     agrees: bool
     coeff_fit: EnvelopeFit | None
     norm_fit: EnvelopeFit
-
-    def to_json_dict(self) -> dict:
-        return {
-            "sigma": self.sigma,
-            "coeff_flavor": self.coeff_flavor,
-            "norm_flavor": self.norm_flavor,
-            "agrees": self.agrees,
-            "coeff_fit": self.coeff_fit.to_json_dict() if self.coeff_fit else None,
-            "norm_fit": self.norm_fit.to_json_dict(),
-        }
 
 
 def cross_validate(series: HermiteSeries, sigma: float, n_max: int = 40) -> CrossValidationReport:

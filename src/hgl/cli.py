@@ -28,7 +28,7 @@ from . import envelopes
 from .classify import classify, cross_validate
 from .io import (InputFormatError, atomic_write_text, load_samples_csv, load_series,
                  norm_sequence_csv, report_json, series_json)
-from .modulation import MixedNormParams, Weight, norm_sequence_mod
+from .modulation import MixedNormParams, norm_sequence_mod
 from .presets import Preset, build_preset
 from .quadrature import QuadratureError
 from .series import HermiteSeries, analyze
@@ -143,10 +143,9 @@ def cmd_analyze(args) -> int:
 def cmd_classify(args) -> int:
     series = _resolve_series(args)
     payload = {"config": _config_dict(args, series),
-               "classification": classify(series).to_json_dict()}
+               "classification": classify(series)}
     if args.sigma is not None:
-        payload["cross_validation"] = cross_validate(series, args.sigma,
-                                                     args.n_max).to_json_dict()
+        payload["cross_validation"] = cross_validate(series, args.sigma, args.n_max)
     _emit(report_json(payload), args.out)
     return EXIT_OK
 
@@ -200,14 +199,8 @@ def cmd_norms(args) -> int:
     cfg = _config_dict(args, series)
     kind = args.norm
     if kind.startswith("mod:"):
-        parts = kind[4:].split(",")
-        if len(parts) != 3:
-            raise InputFormatError("mod norm needs p,q,weight (e.g. mod:2,2,const)")
-        p = math.inf if parts[0] == "inf" else float(parts[0])
-        q = math.inf if parts[1] == "inf" else float(parts[1])
-        params = MixedNormParams(p, q, Weight.parse(parts[2]))
-        seq = norm_sequence_mod(series, args.n_max, params, sigma=sigma,
-                                n_min=args.n0)
+        seq = norm_sequence_mod(series, args.n_max, MixedNormParams.parse(kind),
+                                sigma=sigma, n_min=args.n0)
     else:
         seq = norm_sequence(series, args.n_max, kind, sigma, n_min=args.n0)
     if args.format == "json":
@@ -233,7 +226,7 @@ def cmd_verify_lemmas(args) -> int:
     all_passed = all(r.passed for r in reports)
     payload = {"config": cfg,
                "all_passed": all_passed,
-               "suites": [r.to_json_dict() for r in reports]}
+               "suites": reports}
     _emit(report_json(payload), args.out)
     return EXIT_OK if all_passed else EXIT_SUITE
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .io import json_value
 from .logscalar import LogScalar
 from .series import MultiIndex
 
@@ -57,18 +56,6 @@ class BoundCheckReport:
     passed: bool
     threshold: float
     details: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return json_value({
-            "name": self.name,
-            "grid": self.grid,
-            "max_ratio": self.max_ratio,
-            "fitted_constant": self.fitted_constant,
-            "witness": self.witness,
-            "passed": self.passed,
-            "threshold": self.threshold,
-            "details": self.details,
-        })
 
 
 # ----------------------------------------------------------------------

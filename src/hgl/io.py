@@ -4,16 +4,18 @@ All writers are deterministic (sorted entries, fixed key order) and atomic
 (write to a sibling temp file, then rename), so identical inputs produce
 byte-identical files.  Reports are strict JSON with the layout of
 ``json.dumps(..., indent=1)``.  One set of rules (``_plain``) turns report
-fields into plain values: LogScalar becomes {"sign", "log"}, numpy values
-their ``tolist()``, and non-finite floats null.  ``report_json`` applies the
-rules while it writes, in one walk, and the coefficient JSON writer uses
-that walk for its config object; ``json_value`` applies them without
-writing, for reports that are returned as dicts.
+fields into plain values: LogScalar becomes the pair {"sign", "log"} (this
+module owns that format), a dataclass report {field name: value} in
+declaration order, numpy values their ``tolist()``, and non-finite floats
+null.  ``report_json`` applies the rules while it writes, in one walk, and
+the coefficient JSON writer uses that walk for its config object;
+``json_value`` applies them without writing, for a report wanted as a dict.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -215,21 +217,25 @@ def save_norm_sequence_csv(seq: NormSequence, path, config_line: str = "") -> No
 
 
 def _plain(obj):
-    """One node under the report rules: LogScalar becomes {"sign", "log"},
-    numpy scalars and arrays their ``tolist()`` values, non-finite floats
-    None (null); anything else is returned as it is."""
+    """One node under the report rules: LogScalar becomes {"sign", "log"}
+    (log null for zero), any other dataclass instance {field name: value}
+    in declaration order (its fields are walked in turn, not converted
+    here), numpy scalars and arrays their ``tolist()`` values, non-finite
+    floats None (null); anything else is returned as it is."""
     if isinstance(obj, float):  # numpy float64 included
         return float(obj) if math.isfinite(obj) else None
-    if isinstance(obj, LogScalar):
-        return obj.to_json_pair()
+    if isinstance(obj, LogScalar):    # before the dataclass rule: it is one
+        return {"sign": obj.sign, "log": obj.log_magnitude if obj.sign else None}
     if isinstance(obj, (np.ndarray, np.generic)):
         return _plain(obj.tolist())
+    if dataclasses.is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     return obj
 
 
 def json_value(obj):
-    """Plain JSON value of a report field: ``_plain`` at every node of its
-    dicts, lists and tuples (tuples become lists)."""
+    """Plain JSON value of a report or a report field: ``_plain`` at every
+    node of its dataclasses, dicts, lists and tuples (tuples become lists)."""
     obj = _plain(obj)
     if isinstance(obj, dict):
         return {k: json_value(v) for k, v in obj.items()}
@@ -286,9 +292,10 @@ def _json_text(obj, indent: str) -> str:
     raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
 
 
-def report_json(payload: dict) -> str:
-    """Strict JSON text of a report (no NaN or Infinity tokens): one walk
-    that applies ``json_value``'s rules while it writes the bytes of
+def report_json(payload) -> str:
+    """Strict JSON text of a report, a payload dict or a report dataclass
+    (no NaN or Infinity tokens): one walk that applies ``json_value``'s
+    rules while it writes the bytes of
     ``json.dumps(json_value(payload), indent=1, allow_nan=False) + "\\n"``.
     The stdlib encoder falls back to pure Python when ``indent`` is set and
     would walk the payload a second time."""

@@ -4,7 +4,8 @@ Growth envelopes in this package reach magnitudes like exp(1e4) long before
 any float64 does, so every norm and envelope value is carried as a LogScalar:
 a sign in {-1, 0, +1} plus the natural log of the magnitude.  Conversion back
 to a plain float is only exact while |log_magnitude| <= 700; outside that
-window it is flagged instead of silently saturating.
+window it is flagged instead of silently saturating.  Reports write a
+LogScalar as the pair {"sign": s, "log": l}, a format that ``hgl.io`` owns.
 """
 
 from __future__ import annotations
@@ -171,7 +172,3 @@ class LogScalar:
             return "LogScalar(0)"
         mark = "" if self.sign > 0 else "-"
         return f"LogScalar({mark}exp({self.log_magnitude:.6g}))"
-
-    def to_json_pair(self) -> dict:
-        """JSON form used by every report: {"sign": s, "log": l}."""
-        return {"sign": self.sign, "log": self.log_magnitude if self.sign else None}

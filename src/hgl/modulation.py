@@ -164,6 +164,14 @@ class MixedNormParams:
         if not (self.p > 0 and self.q > 0):
             raise ValueError("p and q must be positive (inf allowed)")
 
+    @classmethod
+    def parse(cls, text: str) -> "MixedNormParams":
+        """Parse the norm kind ``mod:p,q,weight`` (p and q may be inf)."""
+        parts = text.removeprefix("mod:").split(",")
+        if len(parts) != 3:
+            raise ValueError("mod norm needs p,q,weight (e.g. mod:2,2,const)")
+        return cls(float(parts[0]), float(parts[1]), Weight.parse(parts[2]))
+
     def label(self) -> str:
         def fmt(v):
             return "inf" if v == math.inf else f"{v:g}"
@@ -340,21 +348,6 @@ class NormEquivReport:
     embed_upper: float
     embed_lower: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "p0": self.p0 if self.p0 != math.inf else "inf",
-            "params": self.params_label,
-            "n0": self.n0,
-            "lp_fit": self.lp_fit.to_json_dict(),
-            "mod_fit": self.mod_fit.to_json_dict(),
-            "flavors_agree": self.flavors_agree,
-            "gap_window": self.gap_window,
-            "gap_shifted": self.gap_shifted,
-            "gap_stable": self.gap_stable,
-            "embed_upper_constant": self.embed_upper,
-            "embed_lower_constant": self.embed_lower,
-        }
-
 
 def _conjugate(p: float) -> float:
     if p == 1:
@@ -380,6 +373,7 @@ def norm_equiv_harness(series: HermiteSeries, sigma: float, p0: float,
     """
     if series.dimension != 1:
         raise ValueError("the harness runs at desk scale: dimension 1 only")
+    mod_powers = _power_range(n0, n_max)
     grid = grid or StftGrid.default_for(series)
     powers = range(0, n_max + 1)
     lp_logs = _grid_log_norms(series, powers, p0, GridSpec())
@@ -392,8 +386,7 @@ def norm_equiv_harness(series: HermiteSeries, sigma: float, p0: float,
     w_const2 = MixedNormParams(p0, q2, Weight())
     mod_logs, m_q1, m_q2 = _mod_log_norms(series, powers, [params, w_const, w_const2], grid)
     mod_seq = NormSequence(dimension=1, sigma=sigma,
-                           values=tuple((N, _as_log_scalar(mod_logs[N]))
-                                        for N in range(n0, n_max + 1)),
+                           values=tuple((N, _as_log_scalar(mod_logs[N])) for N in mod_powers),
                            norm_kind=params.label(), max_degree=series.max_degree)
 
     lp_fit = fit_radius_from_norms(lp_seq, sigma)

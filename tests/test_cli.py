@@ -480,7 +480,10 @@ CONTRACT = [
     ("norms --input {nan} --norm linf --n-max 3", 2),
     ("norms --input {nan} --norm lp:3 --n-max 3", 2),
     ("norms --preset gaussian:1.0 --norm lp:nan --n-max 3", 2),
-    ("norms --preset gaussian:1.0 --norm mod:2,2", 2),
+    ("norms --preset gaussian:1.0 --norm mod:2,2", 2,
+     "error: mod norm needs p,q,weight (e.g. mod:2,2,const)"),
+    ("norms --preset gaussian:1.0 --norm mod:abc,2,const", 2,
+     "error: could not convert string to float: 'abc'"),
     ("verify-lemmas --t-max 400", 0),
     # flags a command does not read, abbreviations and powers outside [0, n_max]
     ("verify-lemmas --sigma 3", 2, "error: unrecognized arguments: --sigma 3"),

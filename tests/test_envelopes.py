@@ -8,6 +8,7 @@ from hgl import (amplitude_factor_ratio, check_envelope_factor_monotone,
                  check_peak_term_bounded, envelope_coeff_flat, envelope_coeff_s,
                  envelope_factor, envelope_norm_flat, envelope_norm_s,
                  infimum_coeff_bound, peak_term, radius_factor_ratio)
+from hgl.io import json_value
 
 E = math.e
 
@@ -170,7 +171,7 @@ class TestCheckSuites:
     def test_report_json_roundtrip(self):
         import json
         rep = check_factor_ratios_bounded(1.0)
-        text = json.dumps(rep.to_json_dict())
+        text = json.dumps(json_value(rep))
         assert json.loads(text)["passed"] is True
 
 
@@ -197,11 +198,11 @@ class TestInfimum:
 
 
 def test_check_reports_are_deterministic():
-    a = check_factor_ratios_bounded(1.0).to_json_dict()
-    b = check_factor_ratios_bounded(1.0).to_json_dict()
+    a = json_value(check_factor_ratios_bounded(1.0))
+    b = json_value(check_factor_ratios_bounded(1.0))
     assert a == b
-    c = check_peak_term_bounded(0.5).to_json_dict()
-    d = check_peak_term_bounded(0.5).to_json_dict()
+    c = json_value(check_peak_term_bounded(0.5))
+    d = json_value(check_peak_term_bounded(0.5))
     assert c == d
 
 

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from hgl import LogScalar, LogRangeError
+from hgl.io import json_value
 
 
 def test_roundtrip_floats():
@@ -76,5 +77,5 @@ def test_ordering_matches_reals():
 
 
 def test_json_pair():
-    assert LogScalar.from_float(2.0).to_json_pair() == {"sign": 1, "log": math.log(2)}
-    assert LogScalar.zero().to_json_pair() == {"sign": 0, "log": None}
+    assert json_value(LogScalar.from_float(2.0)) == {"sign": 1, "log": math.log(2)}
+    assert json_value(LogScalar.zero()) == {"sign": 0, "log": None}

@@ -104,6 +104,24 @@ class TestWeights:
         with pytest.raises(ValueError):
             Weight.parse("w9")
 
+    def test_mixed_norm_params_parse(self):
+        assert MixedNormParams.parse("mod:2,2,const") == MixedNormParams(2.0, 2.0, Weight())
+        parsed = MixedNormParams.parse("mod:inf,1,1/v2")
+        assert parsed == MixedNormParams(math.inf, 1.0, Weight("reciprocal", 2))
+        assert parsed.label() == "mod:inf,1,1/v2"
+
+    @pytest.mark.parametrize("text,message", [
+        ("mod:2,2", "mod norm needs p,q,weight (e.g. mod:2,2,const)"),
+        ("mod:2,2,const,1", "mod norm needs p,q,weight (e.g. mod:2,2,const)"),
+        ("mod:abc,2,const", "could not convert string to float: 'abc'"),
+        ("mod:2,2,w9", "cannot parse weight 'w9' (use const, vN or 1/vN)"),
+        ("mod:0,2,const", "p and q must be positive (inf allowed)"),
+    ])
+    def test_mixed_norm_params_parse_refuses(self, text, message):
+        with pytest.raises(ValueError) as err:
+            MixedNormParams.parse(text)
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("kind,N", [("polynomial", 1), ("polynomial", 3),
                                         ("reciprocal", 2)])
     def test_moderation_bound(self, kind, N):
@@ -135,6 +153,16 @@ class TestHarness:
         rep = norm_equiv_harness(s, 1.0, 2.0, MixedNormParams(2, 2, Weight()), n_max=10)
         assert 0 < rep.embed_upper < 10
         assert 0 < rep.embed_lower < 10
+
+    @pytest.mark.parametrize("n0,n_max,message", [
+        (9, 4, "need 0 <= n0 <= n_max, got n0 = 9, n_max = 4"),
+        (0, -3, "n_max must be >= 1"),
+    ])
+    def test_power_range_is_checked(self, n0, n_max, message):
+        s = synthetic_flat(1.0, 1.0, 12)
+        with pytest.raises(ValueError) as err:
+            norm_equiv_harness(s, 1.0, 2.0, MixedNormParams(2, 2, Weight()), n_max=n_max, n0=n0)
+        assert str(err.value) == message
 
 
 class TestOscillatorWeightShift:

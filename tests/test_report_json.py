@@ -2,12 +2,13 @@
 
 ``report_json(p)`` must write exactly ``json.dumps(v, indent=1,
 allow_nan=False) + "\\n"`` for ``v`` the plain value of ``p`` under the
-report rules, with the converter as it stood before the writer walked the
-payload itself kept here as the oracle.  Payloads are drawn as nested dicts
-(str and float keys), lists, tuples, numpy arrays and scalars, LogScalar
-values, infinities, NaN and non-ASCII text.
+report rules, with a two-walk converter kept here as the oracle.  Payloads
+are drawn as nested dicts (str and float keys), lists, tuples, numpy arrays
+and scalars, LogScalar values, infinities, NaN and non-ASCII text; the five
+report dataclasses are written from their fields.
 """
 
+import dataclasses
 import enum
 import json
 import math
@@ -18,7 +19,10 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from hgl import HermiteSeries  # noqa: E402
+from hgl import (HermiteSeries, MixedNormParams, Weight, check_factor_ratios_bounded,  # noqa: E402
+                 classify, cross_validate, fit_flat_sigma, norm_equiv_harness, shell_profile,
+                 synthetic_flat)
+from hgl.classify import GAUGE_NOTE  # noqa: E402
 from hgl.io import json_value, report_json, series_json, series_to_json_dict  # noqa: E402
 from hgl.logscalar import LogScalar  # noqa: E402
 
@@ -34,7 +38,9 @@ def oracle_value(obj):
     if isinstance(obj, (list, tuple)):
         return [oracle_value(v) for v in obj]
     if isinstance(obj, LogScalar):
-        return oracle_value(obj.to_json_pair())
+        return oracle_value({"sign": obj.sign, "log": obj.log_magnitude if obj.sign else None})
+    if dataclasses.is_dataclass(obj):
+        return oracle_value({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)})
     if isinstance(obj, (np.ndarray, np.generic)):
         return oracle_value(obj.tolist())
     return obj
@@ -60,11 +66,20 @@ ARRAYS = st.one_of(st.lists(FLOATS, max_size=6).map(lambda v: np.array(v, dtype=
 LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), FLOATS, TEXT, LOGSCALARS,
                    NUMPY_SCALARS, ARRAYS)
 KEYS = st.one_of(TEXT, st.floats(allow_nan=False, allow_infinity=False))
+
+
+@dataclasses.dataclass(frozen=True)
+class Pair:
+    second: object
+    first: object = None
+
+
 PAYLOADS = st.recursive(
     LEAVES,
     lambda inner: st.one_of(st.lists(inner, max_size=4),
                             st.lists(inner, max_size=4).map(tuple),
-                            st.dictionaries(KEYS, inner, max_size=4)),
+                            st.dictionaries(KEYS, inner, max_size=4),
+                            st.builds(Pair, inner, inner)),
     max_leaves=25)
 
 
@@ -76,6 +91,7 @@ PAYLOADS = st.recursive(
 @example({"radius": LogScalar.from_log(-math.inf), "log": LogScalar.from_log(2.5, -1),
           "drift": math.nan, "t": np.float64(math.inf), "rows": np.array([1.0, math.nan])})
 @example({1.5: "float key", -0.0: [], 1e300: {"nested": (1, 2.0, "σ")}})
+@example(Pair(Pair(LogScalar.zero()), [Pair(math.nan, np.arange(2))]))
 def test_report_json_matches_the_two_walks(payload):
     assert report_json(payload) == oracle_text(payload)
     # the rules leave no NaN in a plain value, so == compares it fully
@@ -125,3 +141,74 @@ def test_series_json_config_tail(config):
     payload = series_to_json_dict(series)
     payload["config"] = config
     assert series_json(series, config) == json.dumps(payload, indent=1, allow_nan=False) + "\n"
+
+
+FIT_KEYS = ["scale_kind", "scale", "verdict", "radius", "fit_window", "drift", "stability",
+            "orders", "log_radii", "residuals", "reason", "gauge"]
+CLASS_KEYS = ["kind", "parameter", "flavor", "radius", "degree", "gauge", "diagnostics"]
+CROSS_KEYS = ["sigma", "coeff_flavor", "norm_flavor", "agrees", "coeff_fit", "norm_fit"]
+EQUIV_KEYS = ["p0", "params_label", "n0", "lp_fit", "mod_fit", "flavors_agree", "gap_window",
+              "gap_shifted", "gap_stable", "embed_upper", "embed_lower"]
+CHECK_KEYS = ["name", "grid", "max_ratio", "fitted_constant", "witness", "passed", "threshold",
+              "details"]
+SINGLE_MODE = HermiteSeries(dimension=1, max_degree=7, coefficients={(7,): 1.0})
+
+
+REPORT_LABELS = ["nofit EnvelopeFit", "EnvelopeFit", "GrowthClass without radius",
+                 "GrowthClass with fits", "CrossValidationReport without coeff_fit",
+                 "CrossValidationReport", "NormEquivReport", "NormEquivReport p0 = inf",
+                 "BoundCheckReport"]
+
+
+@pytest.fixture(scope="module")
+def reports():
+    """label -> (report, the keys of its plain value), one per REPORT_LABELS."""
+    flat = synthetic_flat(1.0, 1.0, 80)
+    equiv = norm_equiv_harness(synthetic_flat(1.0, 1.0, 12), 1.0, 2.0,
+                               MixedNormParams(2, 2, Weight()), n_max=10)
+    return {
+        "nofit EnvelopeFit": (fit_flat_sigma(shell_profile(SINGLE_MODE), 1.0), FIT_KEYS),
+        "EnvelopeFit": (fit_flat_sigma(shell_profile(flat), 1.0), FIT_KEYS),
+        "GrowthClass without radius": (classify(SINGLE_MODE), CLASS_KEYS),
+        "GrowthClass with fits": (classify(flat), CLASS_KEYS),
+        "CrossValidationReport without coeff_fit": (cross_validate(SINGLE_MODE, 1.0, 10),
+                                                    CROSS_KEYS),
+        "CrossValidationReport": (cross_validate(flat, 1.0, 20), CROSS_KEYS),
+        "NormEquivReport": (equiv, EQUIV_KEYS),
+        "NormEquivReport p0 = inf": (dataclasses.replace(equiv, p0=math.inf), EQUIV_KEYS),
+        "BoundCheckReport": (check_factor_ratios_bounded(1.0), CHECK_KEYS),
+    }
+
+
+@pytest.mark.parametrize("label", REPORT_LABELS)
+def test_reports_are_written_from_their_fields(reports, label):
+    report, keys = reports[label]
+    plain = json_value(report)
+    assert list(plain) == keys
+    text = report_json(report)
+    assert text == oracle_text(report)
+    assert json.loads(text, parse_constant=lambda token: pytest.fail(token)) == plain
+
+
+def test_report_fields_take_the_rules(reports):
+    nofit = json_value(reports["nofit EnvelopeFit"][0])
+    assert nofit["verdict"] == "nofit"
+    assert nofit["drift"] is None and nofit["stability"] is None
+    assert nofit["radius"] == {"sign": 0, "log": None}
+    assert nofit["fit_window"] == [0, 0] and nofit["orders"] == []
+
+    bare = json_value(reports["GrowthClass without radius"][0])
+    assert bare["kind"] == "finite_expansion" and bare["radius"] is None
+    assert bare["gauge"] == GAUGE_NOTE and bare["diagnostics"] == {"nonzero_shells": 1}
+
+    fitted = json_value(reports["GrowthClass with fits"][0])
+    assert fitted["radius"]["sign"] == 1
+    for name in ("flat_fit", "probe_low", "probe_high"):
+        assert list(fitted["diagnostics"][name]) == FIT_KEYS
+
+    cross = json_value(reports["CrossValidationReport without coeff_fit"][0])
+    assert cross["coeff_fit"] is None and list(cross["norm_fit"]) == FIT_KEYS
+
+    assert json_value(reports["NormEquivReport p0 = inf"][0])["p0"] is None
+    check = json_value(reports["BoundCheckReport"][0])
+    assert set(check["max_ratio"]) == {"sign", "log"}
