@@ -25,5 +25,6 @@ from .classify import (classify, coeff_bound_from_norms, cross_validate, estimat
 from .modulation import (MixedNormParams, StftGrid, StftGridError, Weight,
                          modulation_norm, norm_equiv_harness, norm_sequence_mod, stft)
 from .presets import Preset, build_preset, finite_random, synthetic_flat, synthetic_s
+from . import io    # ``import hgl`` loads every library module, hgl.io included
 
 __version__ = "0.1.0"
