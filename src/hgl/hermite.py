@@ -12,7 +12,11 @@ large k), so values are accurate for k up to 10^4 and |x| up to 50.
 
 One kernel, ``_recurrence``, holds the recurrence and its rescale; point
 values, basis rows, Christoffel sums and the Newton steps and weights of the
-Gauss-Hermite rules are all read off it.
+Gauss-Hermite rules are all read off it.  It runs each step in place on
+three buffers and checks for a rescale only once a scalar bound on the values
+passes half the threshold, so most steps cost four array operations.  The
+arrays it yields are overwritten by later steps, and a flag tells consumers
+when the log scale changed.
 """
 
 from __future__ import annotations
@@ -28,25 +32,53 @@ _RESCALE_AT = 1e120
 
 
 def _recurrence(kmax: int, x: np.ndarray):
-    """Yield (u_k, u_{k-1}, log_scale) for k = 0..kmax, with h_k = u_k exp(log_scale).
+    """Yield (u_k, u_{k-1}, log_scale, rescaled) for k = 0..kmax, with
+    h_k = u_k exp(log_scale); ``rescaled`` says that log_scale changed at
+    this step (always at k = 0).
 
     Whenever |u_k| passes _RESCALE_AT the pair is divided by |u_k| and the
-    factor moves into log_scale.  The yielded arrays are updated in place by
-    the next step, so read them before advancing.
+    factor moves into log_scale.  The exact check costs two array passes, so
+    it is gated: ``top`` bounds max|u_k| through the recurrence itself,
+    |u_{k+1}| <= max|x| a_k top_k + b_k top_{k-1}, and the check runs only
+    once that bound passes _RESCALE_AT / 2.  Rounding is monotone, so the
+    bound computed in the same operation order holds in floating point too;
+    the factor 2 is spare margin.  NaN points are never rescaled and a NaN
+    bound always runs the check.
+
+    Each step runs in place on three buffers: u_{k+1} is written over
+    u_{k-1}, the two value buffers swap roles, and the third is scratch.  So
+    the yielded arrays are overwritten by later steps: read them before
+    advancing.
     """
     log_scale = -0.5 * x * x - _LOG_PI_QUARTER
     u_prev = np.zeros_like(x)
     u = np.ones_like(x)
-    yield u, u_prev, log_scale
+    t = np.empty_like(x)
+    xmax = float(np.fmax.reduce(np.abs(x), initial=0.0))
+    top, top_prev = 1.0, 0.0  # bounds on max|u|, max|u_prev|
+    yield u, u_prev, log_scale, True
     for k in range(kmax):
-        u_prev, u = u, x * math.sqrt(2.0 / (k + 1)) * u - math.sqrt(k / (k + 1)) * u_prev
-        big = np.abs(u) > _RESCALE_AT
-        if big.any():
-            s = np.abs(u[big])
-            log_scale[big] += np.log(s)
-            u[big] /= s
-            u_prev[big] /= s
-        yield u, u_prev, log_scale
+        a, b = math.sqrt(2.0 / (k + 1)), math.sqrt(k / (k + 1))
+        # u_{k+1} = (x a) u_k - b u_{k-1}, written over u_{k-1}
+        np.multiply(x, a, out=t)
+        np.multiply(t, u, out=t)
+        np.multiply(u_prev, b, out=u_prev)
+        np.subtract(t, u_prev, out=u_prev)
+        u_prev, u = u, u_prev
+        top, top_prev = xmax * a * top + b * top_prev, top
+        rescaled = False
+        if not top <= 0.5 * _RESCALE_AT:
+            np.abs(u, out=t)
+            top = float(np.fmax.reduce(t, initial=0.0))
+            if top > _RESCALE_AT:
+                big = t > _RESCALE_AT
+                s = t[big]
+                log_scale[big] += np.log(s)
+                u[big] /= s
+                u_prev[big] /= s
+                rescaled = True
+                top = _RESCALE_AT  # entries left alone are <= it, the rest are 1
+        yield u, u_prev, log_scale, rescaled
 
 
 def hermite_eval(k: int, x: float) -> float:
@@ -75,8 +107,10 @@ def hermite_matrix(kmax: int, x) -> np.ndarray:
     if not np.all(np.isfinite(pts)):
         raise ValueError("evaluation points must be finite")
     out = np.empty((kmax + 1, pts.size))
-    for k, (u, _, log_scale) in enumerate(_recurrence(kmax, pts)):
-        out[k] = u * np.exp(log_scale)
+    for k, (u, _, log_scale, rescaled) in enumerate(_recurrence(kmax, pts)):
+        if rescaled:
+            scale = np.exp(log_scale)
+        np.multiply(u, scale, out=out[k])
     return out
 
 
@@ -113,10 +147,10 @@ def log_abs_hermite_sumsq(n: int, x) -> np.ndarray:
         raise ValueError(f"need at least one term, got n={n}")
     pts = np.atleast_1d(np.asarray(x, dtype=float))
     terms = _recurrence(n - 1, pts)
-    _, _, log_scale = next(terms)
+    _, _, log_scale, _ = next(terms)
     # running log of sum h_k^2; term k contributes 2*(log_scale + log|u|)
     acc = 2.0 * log_scale  # k = 0 term, u = 1
-    for u, _, log_scale in terms:
+    for u, _, log_scale, _ in terms:
         with np.errstate(divide="ignore"):
             term = 2.0 * (log_scale + np.log(np.abs(u)))
         hi = np.maximum(acc, term)

@@ -118,7 +118,7 @@ def _polish(n: int, x: np.ndarray):
     root_2n = math.sqrt(2.0 * n)
     for _ in range(_NEWTON_MAX_ITER):
         xa = x[active]
-        for u_last, u_prev, log_scale in _recurrence(n, xa):
+        for u_last, u_prev, log_scale, _ in _recurrence(n, xa):
             pass
         with np.errstate(divide="ignore", invalid="ignore"):
             step = u_last / (root_2n * u_prev)

@@ -341,7 +341,8 @@ def _newton_peaks(blocks: np.ndarray, owner: np.ndarray, starts: np.ndarray,
         concave = np.all(np.linalg.eigvalsh(hs) < 0, axis=-1)
         delta = np.zeros_like(gr)
         if concave.any():
-            delta[concave] = -np.linalg.solve(hs[concave], gr[concave][..., None])[..., 0]
+            # a row whose Hessian LAPACK cannot factor takes the gradient step
+            delta[concave], concave[concave] = _newton_steps(hs[concave], gr[concave])
         norm = np.linalg.norm(gr[~concave], axis=-1, keepdims=True)
         delta[~concave] = gr[~concave] / np.where(norm > 0, norm, 1.0) * r[~concave, None]
         size = np.max(np.abs(delta), axis=-1)
@@ -357,6 +358,28 @@ def _newton_peaks(blocks: np.ndarray, owner: np.ndarray, starts: np.ndarray,
         radius[idx[~up]] /= 4.0
         active[idx] = ~done
     return g
+
+
+def _newton_steps(hs: np.ndarray, gr: np.ndarray):
+    """-hs^-1 gr per row, and which rows LAPACK could factor.
+
+    A Hessian can pass the eigenvalue test and still be singular to LAPACK
+    (ring maxima of radial functions have a flat direction).  Then the
+    batched solve raises, and the rows are solved one at a time, which gives
+    the batched bits on every row that can be factored.
+    """
+    solved = np.ones(len(gr), dtype=bool)
+    try:
+        return -np.linalg.solve(hs, gr[..., None])[..., 0], solved
+    except np.linalg.LinAlgError:
+        pass
+    steps = np.zeros_like(gr)
+    for i in range(len(gr)):
+        try:
+            steps[i] = -np.linalg.solve(hs[i:i + 1], gr[i:i + 1, :, None])[0, :, 0]
+        except np.linalg.LinAlgError:
+            solved[i] = False
+    return steps, solved
 
 
 def _power_range(n_min: int, n_max: int) -> range:

@@ -3,7 +3,10 @@
 These deliberately avoid the library's own spectral paths: the oscillator is
 applied by finite differences, moments come from closed forms, Parseval
 sums are brute-force floats, and point values of H^N f come from a plain
-test-local recurrence or from mpmath.
+test-local recurrence or from mpmath.  ``recurrence_reference`` is the
+exception: a frozen copy of the unbuffered, ungated form of
+``hgl.hermite._recurrence``, against which the library kernel is checked
+bit for bit.
 """
 
 import math
@@ -59,6 +62,28 @@ def hermite_table(kmax: int, xs: np.ndarray) -> np.ndarray:
     for k in range(1, kmax):
         rows.append(math.sqrt(2.0 / (k + 1)) * xs * rows[k] - math.sqrt(k / (k + 1)) * rows[k - 1])
     return np.array(rows)
+
+
+def recurrence_reference(kmax: int, x: np.ndarray):
+    """Yield (u_k, u_{k-1}, log_scale) for k = 0..kmax, h_k = u_k exp(log_scale).
+
+    The rescaled recurrence with a fresh array per step and an exact rescale
+    check at every step; the yielded arrays are updated in place by the next
+    step's rescale.
+    """
+    log_scale = -0.5 * x * x - 0.25 * math.log(math.pi)
+    u_prev = np.zeros_like(x)
+    u = np.ones_like(x)
+    yield u, u_prev, log_scale
+    for k in range(kmax):
+        u_prev, u = u, x * math.sqrt(2.0 / (k + 1)) * u - math.sqrt(k / (k + 1)) * u_prev
+        big = np.abs(u) > 1e120
+        if big.any():
+            s = np.abs(u[big])
+            log_scale[big] += np.log(s)
+            u[big] /= s
+            u_prev[big] /= s
+        yield u, u_prev, log_scale
 
 
 def hermite_mp(k: int, x):

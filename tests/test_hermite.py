@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from hgl import hermite_eval, hermite_eval_multi, hermite_matrix
-from hgl.hermite import log_abs_hermite_sumsq
+import hgl.hermite as hermite
+from hgl import gauss_hermite_rule, hermite_eval, hermite_eval_multi, hermite_matrix
+from hgl.hermite import hermite_derivative_rows, log_abs_hermite_sumsq
 
-from oracles import hermite_mp
+from oracles import hermite_mp, recurrence_reference
 
 PI_QUARTER = math.pi ** -0.25
 
@@ -89,3 +90,67 @@ def test_multi_tensor_product():
 def test_multi_dimension_mismatch():
     with pytest.raises(ValueError):
         hermite_eval_multi((1, 2), (0.0, 1.0, 2.0))
+
+
+# the buffered, gated kernel against the frozen unbuffered one, bit for bit;
+# both point sets run the rescale (the edge nodes of the 2000-point rule sit
+# near exp(-1000) in the seed, and so do the ends of the +-50 line)
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _reference_kernel(kmax, x):
+    """The reference recurrence in the library kernel's yield, with every step
+    flagged as a rescale so that consumers recompute their scale each row."""
+    for u, u_prev, log_scale in recurrence_reference(kmax, x):
+        yield u, u_prev, log_scale, True
+
+
+RESCALE_SETS = {
+    "rule2000": lambda: gauss_hermite_rule(2000).nodes.copy(),
+    "line50": lambda: np.linspace(-50.0, 50.0, 1001),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESCALE_SETS))
+def test_recurrence_yields_reference_bits(name):
+    x = RESCALE_SETS[name]()
+    rescales = 0
+    steps = zip(hermite._recurrence(3000, x.copy()), recurrence_reference(3000, x.copy()),
+                strict=True)
+    for k, ((u, u_prev, log_scale, rescaled), (u_ref, u_prev_ref, log_ref)) in enumerate(steps):
+        assert _same_bits(u, u_ref) and _same_bits(u_prev, u_prev_ref), k
+        assert _same_bits(log_scale, log_ref), k
+        rescales += rescaled
+    assert rescales > 100  # the sets exercise the rescale
+
+
+def test_rescale_flag_marks_every_change_of_scale():
+    x = np.linspace(-50.0, 50.0, 101)
+    last = None
+    for k, (_, _, log_scale, rescaled) in enumerate(hermite._recurrence(1500, x)):
+        assert rescaled == (k == 0 or not np.array_equal(log_scale, last)), k
+        last = log_scale.copy()
+
+
+@pytest.mark.parametrize("name", sorted(RESCALE_SETS))
+def test_matrix_and_derivative_rows_match_reference(name, monkeypatch):
+    x = RESCALE_SETS[name]()
+    kmax = 2000
+    want = np.array([u * np.exp(log_scale) for u, _, log_scale in recurrence_reference(kmax, x.copy())])
+    assert _same_bits(hermite_matrix(kmax, x), want)
+    got = hermite_derivative_rows(300, x)
+    monkeypatch.setattr(hermite, "_recurrence", _reference_kernel)
+    for a, b in zip(got, hermite_derivative_rows(300, x), strict=True):
+        assert _same_bits(a, b)
+
+
+def test_log_sumsq_matches_reference_kernel(monkeypatch):
+    x = np.concatenate((np.linspace(-50.0, 50.0, 201), [np.nan, np.inf, -np.inf, 0.0]))
+    with np.errstate(all="ignore"):
+        got = [log_abs_hermite_sumsq(n, x) for n in (1, 2, 300, 2500)]
+        monkeypatch.setattr(hermite, "_recurrence", _reference_kernel)
+        want = [log_abs_hermite_sumsq(n, x) for n in (1, 2, 300, 2500)]
+    for a, b in zip(got, want):
+        assert _same_bits(a, b)
+    assert np.isnan(got[-1][-4:-1]).all()  # non-finite points stay NaN

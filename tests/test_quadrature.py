@@ -5,7 +5,7 @@ import pytest
 
 from hgl import gauss_hermite_rule, hermite_matrix
 
-from oracles import gaussian_moment
+from oracles import gaussian_moment, recurrence_reference
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -129,6 +129,22 @@ def test_discrete_orthonormality_matrix():
     mat = hermite_matrix(M, rule.nodes)
     gram = (mat * rule.modified_weights) @ mat.T
     assert np.abs(gram - np.eye(M + 1)).max() <= 1e-10
+
+
+@pytest.mark.parametrize("n", [*range(1, 81), 128, 158, 224, 400, 799, 800, 1999, 2000])
+def test_rule_bits_match_reference_kernel(n, monkeypatch):
+    import hgl.quadrature as quad
+
+    def reference(kmax, x):
+        for u, u_prev, log_scale in recurrence_reference(kmax, x):
+            yield u, u_prev, log_scale, True
+
+    rule = quad.gauss_hermite_rule(n)
+    monkeypatch.setattr(quad, "_recurrence", reference)
+    # __wrapped__ builds past the rule cache, which keeps the library's rules
+    want = quad.gauss_hermite_rule.__wrapped__(n)
+    for name in ("nodes", "weights", "log_weights"):
+        assert getattr(rule, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 def test_nonconvergence_error_names_index(monkeypatch):

@@ -7,7 +7,7 @@ from hgl import (GridError, GridSpec, HermiteSeries, analyze, apply_H, finite_ra
                  l2_norm, lp_norm, norm_sequence, stirling_bounds, synthesize_many)
 from hgl.hermite import hermite_derivative_rows
 
-from oracles import hermite_mp, oscillator_fd, oscillator_fd_twice
+from oracles import hermite_mp, hermite_table, oscillator_fd, oscillator_fd_twice
 
 
 class TestApplyH:
@@ -180,6 +180,45 @@ def test_cli_import_skips_scipy_optimize():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
     assert out.stdout.strip() == "False"
+
+
+# ring maxima of these radial d = 2 Gaussians give Hessians that pass the
+# eigenvalue test and are singular to LAPACK with one BLAS thread
+SINGULAR_HESSIAN_CASES = [(1.7628, 16, 158), (1.6216, 14, 224), (1.5178, 12, 188),
+                          (1.4957, 15, 259)]
+
+
+@pytest.mark.parametrize("width,max_degree,quad_order", SINGULAR_HESSIAN_CASES)
+def test_sup_norm_survives_singular_hessians(width, max_degree, quad_order):
+    import os
+    import subprocess
+    import sys
+    from hgl.presets import Preset, build_preset
+    preset = f"gaussian:{width}"
+    argv = ["norms", "--preset", preset, "--dim", "2", "--max-degree", str(max_degree),
+            "--quad-order", str(quad_order), "--norm", "linf", "--n-max", "1"]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-m", "hgl.cli", *argv], capture_output=True,
+                         text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    rows = [line.split(",") for line in out.stdout.splitlines()[2:]]
+    assert [int(r[0]) for r in rows] == [0, 1]
+    # |H^N f| on the sup norm's scan grid and on a grid ten times finer, by
+    # the oracle's unscaled recurrence
+    dense = build_preset(Preset.parse(preset), 2, max_degree, quad_order).dense()
+    lam = 2.0 * np.indices(dense.shape).sum(axis=0) + 2.0
+    osc = math.pi / (2.0 * math.sqrt(2 * max_degree + 2))
+    step = min(0.25, osc / 2.0)
+    extent = math.sqrt(2.0 * max_degree) + 6.0
+    scan = np.arange(-extent, extent + step, step)
+    fine = np.linspace(-extent, extent, 10 * scan.size)
+    for n, log_norm, _ in rows:
+        block = dense * lam ** int(n)
+        peaks = []
+        for axis in (scan, fine):
+            table = hermite_table(dense.shape[0] - 1, axis)
+            peaks.append(math.log(np.abs(table.T @ block @ table).max()))
+        assert peaks[0] - 1e-12 <= float(log_norm) <= peaks[1] + 1e-2, (n, peaks)
 
 
 class TestSpectralVsDifferential:
