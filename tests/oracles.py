@@ -86,6 +86,13 @@ def recurrence_reference(kmax: int, x: np.ndarray):
         yield u, u_prev, log_scale
 
 
+def recurrence_reference_flagged(kmax: int, x: np.ndarray):
+    """``recurrence_reference`` in the library kernel's yield, with every step
+    flagged as a rescale, so that consumers recompute their scale each row."""
+    for u, u_prev, log_scale in recurrence_reference(kmax, x):
+        yield u, u_prev, log_scale, True
+
+
 def hermite_mp(k: int, x):
     """Orthonormal h_k(x) in mpmath: H_k(x) exp(-x^2/2) / sqrt(2^k k! sqrt(pi))."""
     import mpmath

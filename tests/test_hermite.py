@@ -7,7 +7,7 @@ import hgl.hermite as hermite
 from hgl import gauss_hermite_rule, hermite_eval, hermite_eval_multi, hermite_matrix
 from hgl.hermite import hermite_derivative_rows, log_abs_hermite_sumsq
 
-from oracles import hermite_mp, recurrence_reference
+from oracles import hermite_mp, recurrence_reference, recurrence_reference_flagged
 
 PI_QUARTER = math.pi ** -0.25
 
@@ -93,17 +93,10 @@ def test_multi_dimension_mismatch():
 
 
 # the buffered, gated kernel against the frozen unbuffered one, bit for bit;
-# both point sets run the rescale (the edge nodes of the 2000-point rule sit
-# near exp(-1000) in the seed, and so do the ends of the +-50 line)
+# both point sets run the rescale (the seed exp(-x^2/2) underflows float64 at
+# the edge nodes of the 2000-point rule and at the ends of the +-50 line)
 def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-def _reference_kernel(kmax, x):
-    """The reference recurrence in the library kernel's yield, with every step
-    flagged as a rescale so that consumers recompute their scale each row."""
-    for u, u_prev, log_scale in recurrence_reference(kmax, x):
-        yield u, u_prev, log_scale, True
 
 
 RESCALE_SETS = {
@@ -137,10 +130,11 @@ def test_rescale_flag_marks_every_change_of_scale():
 def test_matrix_and_derivative_rows_match_reference(name, monkeypatch):
     x = RESCALE_SETS[name]()
     kmax = 2000
-    want = np.array([u * np.exp(log_scale) for u, _, log_scale in recurrence_reference(kmax, x.copy())])
+    want = np.array([u * np.exp(log_scale)
+                     for u, _, log_scale in recurrence_reference(kmax, x.copy())])
     assert _same_bits(hermite_matrix(kmax, x), want)
     got = hermite_derivative_rows(300, x)
-    monkeypatch.setattr(hermite, "_recurrence", _reference_kernel)
+    monkeypatch.setattr(hermite, "_recurrence", recurrence_reference_flagged)
     for a, b in zip(got, hermite_derivative_rows(300, x), strict=True):
         assert _same_bits(a, b)
 
@@ -149,7 +143,7 @@ def test_log_sumsq_matches_reference_kernel(monkeypatch):
     x = np.concatenate((np.linspace(-50.0, 50.0, 201), [np.nan, np.inf, -np.inf, 0.0]))
     with np.errstate(all="ignore"):
         got = [log_abs_hermite_sumsq(n, x) for n in (1, 2, 300, 2500)]
-        monkeypatch.setattr(hermite, "_recurrence", _reference_kernel)
+        monkeypatch.setattr(hermite, "_recurrence", recurrence_reference_flagged)
         want = [log_abs_hermite_sumsq(n, x) for n in (1, 2, 300, 2500)]
     for a, b in zip(got, want):
         assert _same_bits(a, b)

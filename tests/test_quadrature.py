@@ -5,7 +5,7 @@ import pytest
 
 from hgl import gauss_hermite_rule, hermite_matrix
 
-from oracles import gaussian_moment, recurrence_reference
+from oracles import gaussian_moment, recurrence_reference_flagged
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -134,13 +134,8 @@ def test_discrete_orthonormality_matrix():
 @pytest.mark.parametrize("n", [*range(1, 81), 128, 158, 224, 400, 799, 800, 1999, 2000])
 def test_rule_bits_match_reference_kernel(n, monkeypatch):
     import hgl.quadrature as quad
-
-    def reference(kmax, x):
-        for u, u_prev, log_scale in recurrence_reference(kmax, x):
-            yield u, u_prev, log_scale, True
-
     rule = quad.gauss_hermite_rule(n)
-    monkeypatch.setattr(quad, "_recurrence", reference)
+    monkeypatch.setattr(quad, "_recurrence", recurrence_reference_flagged)
     # __wrapped__ builds past the rule cache, which keeps the library's rules
     want = quad.gauss_hermite_rule.__wrapped__(n)
     for name in ("nodes", "weights", "log_weights"):
