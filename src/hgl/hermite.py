@@ -46,9 +46,9 @@ def _recurrence(kmax: int, x: np.ndarray):
     bound always runs the check.
 
     Each step runs in place on three buffers: u_{k+1} is written over
-    u_{k-1}, the two value buffers swap roles, and the third is scratch.  So
-    the yielded arrays are overwritten by later steps: read them before
-    advancing.
+    u_{k-1}, the two value buffers swap roles, and the third holds the
+    intermediate products.  So the yielded arrays are overwritten by later
+    steps: read them before advancing.
     """
     log_scale = -0.5 * x * x - _LOG_PI_QUARTER
     u_prev = np.zeros_like(x)
