@@ -1,9 +1,16 @@
 """Discrete short-time Fourier transform and weighted mixed norms.
 
-The STFT uses a unit-L2 Gaussian window and is computed by Gauss-Hermite
-quadrature per phase-space grid point:
+The STFT uses the unit-L2 Gaussian window pi^{-1/4} exp(-t^2/2),
 
-    V(x, xi) = integral f(t) window(t - x) exp(-i t xi) dt.
+    V(x, xi) = integral f(t) window(t - x) exp(-i t xi) dt,
+
+and for that window the transform of each Hermite function has a closed
+form (Bargmann, CPAM 14, 1961), with z = (x + i xi)/sqrt(2):
+
+    V h_k(x, xi) = exp(-i x xi/2) zbar^k / sqrt(k!) exp(-|z|^2/2).
+
+The basis fields are built once per grid by F_k = F_{k-1} zbar/sqrt(k), and
+the transform of a coefficient vector is one contraction with them.
 
 Mixed norms take the inner ell^p over the spatial axes (cell volume dx^d)
 and the outer ell^q over the frequency axes with cell volume (dxi/(2 pi))^d;
@@ -17,15 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp
 
 from .logscalar import LogScalar
 from .classify import EnvelopeFit, fit_radius_from_norms
-from .hermite import hermite_matrix
-from .quadrature import gauss_hermite_rule
 from .series import HermiteSeries
 from .spectral import (GridSpec, NormSequence, _as_log_scalar, _grid_log_norms,
                        _power_range, _powered_blocks, turning_point_extent)
@@ -35,6 +39,7 @@ __all__ = ["Weight", "StftGrid", "StftField", "MixedNormParams", "stft",
            "NormEquivReport", "StftGridError"]
 
 _MAX_FIELD_ENTRIES = 1 << 24
+_LOG_START_FLOOR = -600.0   # exp(-|z|^2/2) is a normal float above this log
 
 
 class StftGridError(ValueError):
@@ -97,20 +102,16 @@ class Weight:
 
 @dataclass(frozen=True)
 class StftGrid:
-    """Uniform phase-space grid and window/quadrature controls."""
+    """Uniform phase-space grid for the unit-width Gaussian window."""
 
     spatial_step: float
     freq_step: float
     spatial_extent: float
     freq_extent: float
-    window_width: float = 1.0
-    quad_order: int | None = None
 
     def __post_init__(self):
         if self.spatial_step <= 0 or self.freq_step <= 0:
             raise ValueError("grid steps must be positive")
-        if self.window_width <= 0:
-            raise ValueError("window width must be positive")
 
     @classmethod
     def default_for(cls, series: HermiteSeries, step: float = 0.25,
@@ -130,11 +131,11 @@ class StftGrid:
 
     def validate_for(self, series: HermiteSeries) -> None:
         M, d = series.max_degree, series.dimension
-        if self.spatial_step > 0.5 * self.window_width or self.freq_step > 0.5 / self.window_width:
+        if self.spatial_step > 0.5 or self.freq_step > 0.5:
             raise StftGridError(
                 f"steps ({self.spatial_step}, {self.freq_step}) undersample the "
-                f"window-scale structure of the transform (need <= "
-                f"{0.5 * self.window_width:.3g} spatial, {0.5 / self.window_width:.3g} frequency)")
+                f"window-scale structure of the transform (need <= 0.5 spatial, "
+                f"0.5 frequency)")
         if self.freq_extent < math.sqrt(2 * M + d):
             raise StftGridError(
                 f"frequency extent {self.freq_extent:.3g} does not cover the "
@@ -178,57 +179,51 @@ class MixedNormParams:
         return f"mod:{fmt(self.p)},{fmt(self.q)},{self.weight.label()}"
 
 
-class _StftAxisMap:
-    """Linear map from 1-d Hermite coefficients to the 1-d STFT on a grid.
+def _bargmann_basis(kmax: int, x, xi) -> np.ndarray:
+    """F_k = V h_k for k = 0..kmax at the points (x, xi), broadcast together;
+    shape (kmax + 1,) + the broadcast shape.
 
-    V(x, xi) = integral f(t) window(t - x) exp(-i t xi) dt is evaluated by a
-    Gauss-Hermite rule centred on the combined Gaussian of each x.  The real
-    basis rows h_k at those shifted nodes are built once, so transforming a
-    coefficient vector is a contraction plus one matrix product.
+    F_0 = exp(-i x xi/2 - |z|^2/2) and F_k = F_{k-1} zbar/sqrt(k).  Since
+    sum_k |F_k|^2 = 1 at every point, no F_k can overflow, but F_0 underflows
+    once |z|^2 nears 1416 while F_k for k near |z|^2 is still of order
+    k^{-1/4}.  Points whose start is below _LOG_START_FLOOR are evaluated
+    in the log domain instead, as exp(k log zbar - log(k!)/2 - |z|^2/2 - i x xi/2).
+    """
+    x, xi = np.broadcast_arrays(x, xi)
+    zbar = (x - 1j * xi) / math.sqrt(2.0)
+    log_f0 = -0.25 * (x * x + xi * xi) - 0.5j * x * xi
+    out = np.empty((kmax + 1,) + zbar.shape, dtype=complex)
+    np.exp(log_f0, out=out[0])
+    for k in range(1, kmax + 1):
+        np.multiply(out[k - 1], zbar, out=out[k])
+        out[k] *= 1.0 / math.sqrt(k)
+    deep = log_f0.real < _LOG_START_FLOOR
+    if deep.any():
+        k = np.arange(kmax + 1)[:, None]
+        out[:, deep] = np.exp(k * np.log(zbar[deep]) - 0.5 * gammaln(k + 1) + log_f0[deep])
+    return out
+
+
+class _StftAxisMap:
+    """Linear map from Hermite coefficients to the STFT on a grid, d <= 2.
+
+    ``basis`` holds the closed-form fields V h_0..V h_kmax on the grid's
+    (x, xi) axes, shape (K, nx, nxi).  A 1-d transform is one contraction of
+    the coefficients with it; for d = 2 the window and basis factorize, so
+    the coefficient matrix is contracted with the same fields one axis at a
+    time.
     """
 
     def __init__(self, series: HermiteSeries, grid: StftGrid):
         kmax = max(series.degrees_per_axis())
-        x = grid.x_axis()
-        xi = grid.xi_axis()
-        w = grid.window_width
-        a = 0.5 * (1.0 + 1.0 / w**2)
-        n = grid.quad_order or max(96, series.max_degree + 48
-                                   + int(math.ceil(grid.freq_extent**2 / (2.0 * a))))
-        rule = gauss_hermite_rule(n)
-        u = rule.nodes
-        mu = x / (1.0 + w**2)                      # center of the combined Gaussian
-        T = mu[:, None] + u[None, :] / math.sqrt(a)   # (nx, nq)
-        win = (math.pi * w**2) ** -0.25 * np.exp(-((T - x[:, None]) ** 2) / (2.0 * w**2))
-        self.rows = hermite_matrix(kmax, T.ravel()).reshape((kmax + 1,) + T.shape)
-        self.taper = win * rule.modified_weights[None, :]
-        self.kernel = np.exp(-1j * np.outer(u / math.sqrt(a), xi))   # (nq, nxi)
-        self.phase = np.exp(-1j * np.outer(mu, xi)) / math.sqrt(a)   # (nx, nxi)
-
-    def apply(self, coeffs: np.ndarray) -> np.ndarray:
-        """Transforms of coefficient vectors (..., K) -> fields (..., nx, nxi)."""
-        rows = self.rows[:coeffs.shape[-1]]
-        fvals = np.tensordot(coeffs.real, rows, axes=1)
-        if coeffs.imag.any():
-            fvals = fvals + 1j * np.tensordot(coeffs.imag, rows, axes=1)
-        return ((fvals * self.taper) @ self.kernel) * self.phase
-
-    @cached_property
-    def basis(self) -> np.ndarray:
-        """Transforms of h_0..h_kmax, shape (K, nx, nxi)."""
-        return self.apply(np.eye(self.rows.shape[0]))
+        self.basis = _bargmann_basis(kmax, grid.x_axis()[:, None], grid.xi_axis()[None, :])
 
     def field(self, dense: np.ndarray) -> np.ndarray:
-        """STFT values of dense coefficients, axes (x_1..x_d, xi_1..xi_d).
-
-        For d = 2 the window and basis factorize, so the field is the
-        per-axis basis fields contracted with the coefficient matrix, one
-        axis at a time.
-        """
+        """STFT values of dense coefficients, axes (x_1..x_d, xi_1..xi_d)."""
+        vals = np.tensordot(dense, self.basis[:dense.shape[0]], axes=([0], [0]))
         if dense.ndim == 1:
-            return self.apply(dense)
-        half = np.tensordot(dense, self.basis[:dense.shape[0]], axes=([0], [0]))
-        vals = np.tensordot(half, self.basis[:dense.shape[1]], axes=([0], [0]))
+            return vals
+        vals = np.tensordot(vals, self.basis[:dense.shape[1]], axes=([0], [0]))
         return vals.transpose(0, 2, 1, 3)     # (x1, xi1, x2, xi2) -> (x1, x2, xi1, xi2)
 
 
@@ -248,8 +243,8 @@ def _checked_axes(series: HermiteSeries, grid: StftGrid):
 def stft(series: HermiteSeries, grid: StftGrid | None = None) -> StftField:
     """Short-time Fourier transform with Gaussian window, d <= 2.
 
-    The one-power case of ``norm_sequence_mod``: the per-axis map of the
-    grid applied to the dense coefficients.
+    The one-power case of ``norm_sequence_mod``: the dense coefficients
+    contracted with the closed-form transforms V h_k on the grid, per axis.
     """
     grid = grid or StftGrid.default_for(series)
     x, xi = _checked_axes(series, grid)
@@ -296,7 +291,7 @@ def modulation_norm(fld: StftField, params: MixedNormParams) -> LogScalar:
 def _mod_log_norms(series: HermiteSeries, powers, params_list, grid: StftGrid) -> np.ndarray:
     """log modulation norms of H^N f, shape (len(params_list), len(powers)).
 
-    The per-axis STFT map is built once; each power transforms its
+    The closed-form basis fields are built once; each power transforms its
     log-scaled coefficients (see ``spectral._powered_blocks``) and adds the
     scale back in log space, so any power is admitted.
     """
@@ -316,8 +311,8 @@ def norm_sequence_mod(series: HermiteSeries, n_max: int, params: MixedNormParams
                       n_min: int = 0) -> NormSequence:
     """Modulation norms of H^N f for N = n_min..n_max, d <= 2.
 
-    One STFT map per sequence; each power costs a contraction and one
-    matrix product, and large N cannot overflow.
+    One closed-form STFT basis per sequence; each power costs one
+    contraction with it, and large N cannot overflow.
     """
     powers = _power_range(n_min, n_max)
     grid = grid or StftGrid.default_for(series)
@@ -367,9 +362,10 @@ def norm_equiv_harness(series: HermiteSeries, sigma: float, p0: float,
     agreement, reports the per-power radius gap with window stability, and
     fits the embedding constants relating the (p0, q1)/(p0, q2) modulation
     norms to L^{p0} with q1 = min(p0, p0'), q2 = max(p0, p0') over N <= 6.
-    Both families come from one basis map each (the L^{p0} grid of
-    ``norm_sequence`` and the STFT map of ``norm_sequence_mod``), and all
-    three modulation norms of a power share its transform.
+    Both families come from one basis each (the L^{p0} grid rows of
+    ``norm_sequence`` and the closed-form STFT fields V h_k of
+    ``norm_sequence_mod``), and all three modulation norms of a power share
+    its transform.
     """
     if series.dimension != 1:
         raise ValueError("the harness runs at desk scale: dimension 1 only")

@@ -60,11 +60,14 @@ class _Coefficients(Mapping):
     """Read-only alpha -> c view of an index array and a value array."""
 
     def __init__(self, indices, values):
-        self._idx, self._vals = indices, values
+        self._idx, self._vals, self._rows = indices, values, None
 
     def __getitem__(self, alpha):
         if np.shape(alpha) == self._idx.shape[1:]:
-            for i in np.flatnonzero((self._idx == alpha).all(axis=1)):
+            if self._rows is None:  # row -> position, built on the first lookup
+                self._rows = {row: i for i, row in enumerate(map(tuple, self._idx.tolist()))}
+            i = self._rows.get(tuple(np.asarray(alpha).tolist()))
+            if i is not None:
                 return self._vals.item(i)
         raise KeyError(alpha)
 

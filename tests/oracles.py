@@ -6,14 +6,15 @@ sums are brute-force floats, and point values of H^N f come from a plain
 test-local recurrence or from mpmath.  ``recurrence_reference`` is the
 exception: a frozen copy of the unbuffered, ungated form of
 ``hgl.hermite._recurrence``, against which the library kernel is checked
-bit for bit.
+bit for bit.  ``quadrature_stft_basis`` is the quadrature STFT that the
+closed-form (Bargmann) basis of ``hgl.modulation`` replaced.
 """
 
 import math
 
 import numpy as np
 
-from hgl import synthesize_many
+from hgl import gauss_hermite_rule, hermite_matrix, synthesize_many
 
 # 8th-order central second-derivative stencil, offsets -4..4
 _STENCIL = np.array([-1 / 560, 8 / 315, -1 / 5, 8 / 5, -205 / 72,
@@ -108,3 +109,36 @@ def powered_abs_mp(coeffs: dict, power: int, x) -> float:
     for k, c in coeffs.items():
         total += mpmath.mpc(c.real, c.imag) * (2 * k + 1) ** power * hermite_mp(k, x)
     return float(abs(total))
+
+
+def quadrature_stft_basis(kmax: int, grid) -> np.ndarray:
+    """V h_0..V h_kmax on the axes of an ``StftGrid``, shape (K, nx, nxi), by
+    Gauss-Hermite quadrature.
+
+    V(x, xi) = integral h_k(t) window(t - x) exp(-i t xi) dt with the unit
+    window pi^{-1/4} exp(-t^2/2) is evaluated per x by a rule centred on the
+    combined Gaussian exp(-(t - x/2)^2): the real rows h_k at the shifted
+    nodes, tapered by the window and the rule's weights, times the kernel
+    exp(-i u xi) and the phase exp(-i x xi/2).
+    """
+    x, xi = grid.x_axis(), grid.xi_axis()
+    n = max(96, kmax + 48 + int(math.ceil(grid.freq_extent**2 / 2.0)))
+    rule = gauss_hermite_rule(n)
+    u = rule.nodes
+    mu = x / 2.0                                # centre of the combined Gaussian
+    T = mu[:, None] + u[None, :]                # (nx, nq)
+    win = math.pi ** -0.25 * np.exp(-((T - x[:, None]) ** 2) / 2.0)
+    rows = hermite_matrix(kmax, T.ravel()).reshape((kmax + 1,) + T.shape)
+    kernel = np.exp(-1j * np.outer(u, xi))      # (nq, nxi)
+    phase = np.exp(-1j * np.outer(mu, xi))      # (nx, nxi)
+    return ((rows * (win * rule.modified_weights[None, :])) @ kernel) * phase
+
+
+def bargmann_mp(k: int, x, xi):
+    """V h_k(x, xi) = exp(-i x xi/2) zbar^k / sqrt(k!) exp(-|z|^2/2) in mpmath,
+    z = (x + i xi)/sqrt(2)."""
+    import mpmath
+    x, xi = mpmath.mpf(x), mpmath.mpf(xi)
+    zbar = mpmath.mpc(x, -xi) / mpmath.sqrt(2)
+    return (mpmath.exp(-0.5j * x * xi - abs(zbar) ** 2 / 2) * zbar**k
+            / mpmath.sqrt(mpmath.factorial(k)))

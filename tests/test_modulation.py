@@ -6,6 +6,9 @@ import pytest
 from hgl import (HermiteSeries, MixedNormParams, StftGrid, StftGridError, Weight,
                  apply_H, l2_norm, modulation_norm, norm_equiv_harness,
                  norm_sequence_mod, stft, synthetic_flat)
+from hgl.modulation import _bargmann_basis
+
+from oracles import bargmann_mp, quadrature_stft_basis
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +59,41 @@ class TestStft:
         f0 = stft(g0, grid).values
         expected = np.einsum("ac,bd->abcd", f1, f0)
         assert np.abs(fld.values - expected).max() <= 1e-12
+
+
+ORACLE_GRIDS = {
+    "default-M12": StftGrid.default_for(synthetic_flat(1.0, 1.0, 12)),
+    "default-M40": StftGrid.default_for(synthetic_flat(1.0, 1.0, 40)),
+    "two-dimensional": StftGrid(spatial_step=0.5, freq_step=0.5, spatial_extent=5.0,
+                                freq_extent=5.0),
+}
+
+
+class TestClosedFormBasis:
+    @pytest.mark.parametrize("name", sorted(ORACLE_GRIDS))
+    def test_matches_quadrature_oracle(self, name):
+        grid = ORACLE_GRIDS[name]
+        fields = _bargmann_basis(40, grid.x_axis()[:, None], grid.xi_axis()[None, :])
+        oracle = quadrature_stft_basis(40, grid)
+        assert fields.shape == oracle.shape
+        for k in range(41):
+            top = np.abs(oracle[k]).max()
+            assert np.abs(fields[k] - oracle[k]).max() <= 1e-10 * top, k
+
+    @pytest.mark.parametrize("z_sq,orders", [(1600, (0, 800, 1600)), (1450, (0, 725, 1450))])
+    def test_log_domain_start_matches_mpmath(self, z_sq, orders):
+        pytest.importorskip("mpmath")
+        # exp(-|z|^2/2) is 0 at |z|^2 = 1600 and subnormal at 1450, while
+        # V h_k for k = |z|^2 is about 0.1 at both
+        r = math.sqrt(2.0 * z_sq)
+        angles = np.array([math.pi / 4, 0.0, -math.pi / 2, 3 * math.pi / 4, 0.3])
+        x, xi = r * np.cos(angles), r * np.sin(angles)
+        fields = _bargmann_basis(max(orders), x, xi)
+        for k in orders:
+            for j in range(x.size):
+                want = complex(bargmann_mp(k, x[j], xi[j]))
+                assert abs(fields[k, j] - want) <= 1e-10 * abs(want) + 1e-300, (k, j)
+        assert np.abs(fields[max(orders)]).min() > 0.09
 
 
 class TestModulationNorm:

@@ -49,6 +49,17 @@ class TestHermiteSeries:
         s = HermiteSeries(dimension=1, max_degree=1, coefficients={(1,): 2.0})
         assert s.scaled(3j).coefficient((1,)) == 6j
 
+    def test_lookup_of_every_entry(self):
+        s = finite_random(50, 1, dimension=3)
+        assert s.coefficients._rows is None     # nothing is indexed at construction
+        expected = dict(s.items())
+        assert len(expected) == 23426
+        assert {alpha: s.coefficient(alpha) for alpha in expected} == expected
+        assert s.coefficients[np.array([50, 0, 0])] == expected[(50, 0, 0)]
+        for absent in ((0, 0, 51), (1, 2), (1, 2, 3, 4)):
+            with pytest.raises(KeyError):
+                s.coefficients[absent]
+
 
 class TestAnalyze:
     def test_gaussian_is_scaled_ground_state(self):
