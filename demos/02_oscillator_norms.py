@@ -29,11 +29,10 @@ print("max |spectral - (x^2 f - f'')|:",
 
 # --- norms in the log domain ------------------------------------------------
 fixture = synthetic_flat(1.0, 1.0, 80)
-seq = norm_sequence(fixture, 40, "l2", sigma=1.0)
+seq = norm_sequence(fixture, 40, "l2")
 print("\n||H^N f||_2 for the flat-scale generator (sigma=1, r=1):")
 for n in (0, 10, 20, 40):
-    v = dict(seq.values)[n]
-    print(f"  N={n:2d}: exp({v.log_magnitude:9.3f})")
+    print(f"  N={n:2d}: exp({seq.logs[n]:9.3f})")
 out = Path(__file__).with_name("norm_sequence.csv")
 save_norm_sequence_csv(seq, out, config_line="demo: synthetic_flat(1,1,80), l2")
 print("wrote", out)

@@ -50,7 +50,7 @@ print("wrote", report_path)
 
 # --- certified coefficient bounds from norms -----------------------------------
 s = synthetic_flat(1.0, 1.0, 80)
-seq = norm_sequence(s, 40, "l2", 1.0)
+seq = norm_sequence(s, 40, "l2")
 prof = shell_profile(s)
 print("\ncertified |c| bounds from the norm sequence (shell k):")
 for k in (5, 10, 20):

@@ -437,7 +437,7 @@ def _matched_log_radii(log_norms: np.ndarray, powers: np.ndarray, sigma: float,
     raise RuntimeError(f"radius inversion did not converge in {_NEWTON_STEPS} Newton steps")
 
 
-def fit_radius_from_norms(seq: NormSequence, sigma: float | None = None,
+def fit_radius_from_norms(seq: NormSequence, sigma: float,
                           drift_tol: float = DRIFT_TOL,
                           radius_tol: float = RADIUS_TOL) -> EnvelopeFit:
     """Fit the flat-scale radius from a norm sequence of oscillator powers.
@@ -446,18 +446,16 @@ def fit_radius_from_norms(seq: NormSequence, sigma: float | None = None,
     sequence's degree cutoff (exact for on-model data at every N).  Only
     powers with N sigma > e enter; at least 6 are required.
     """
-    sig = seq.sigma if sigma is None else float(sigma)
+    sig = float(sigma)
     if sig <= 0:
         raise ValueError("sigma must be positive")
-    orders = seq.orders()
-    log_norms = seq.log_norms()
-    valid = (orders * sig > _E) & np.isfinite(log_norms)
+    valid = (seq.powers * sig > _E) & np.isfinite(seq.logs)
     if np.count_nonzero(valid) < 6:
         return _nofit("norm_sigma", sig,
                       f"only {int(np.count_nonzero(valid))} powers with N*sigma > e")
-    log_r = _matched_log_radii(log_norms[valid], orders[valid].astype(float), sig,
+    log_r = _matched_log_radii(seq.logs[valid], seq.powers[valid].astype(float), sig,
                                seq.max_degree, seq.dimension)
-    return _drift_verdict(orders[valid], log_r, "norm_sigma", sig, drift_tol, radius_tol)
+    return _drift_verdict(seq.powers[valid], log_r, "norm_sigma", sig, drift_tol, radius_tol)
 
 
 @dataclass(frozen=True)
@@ -491,7 +489,7 @@ def cross_validate(series: HermiteSeries, sigma: float, n_max: int = 40) -> Cros
     else:
         coeff_fit = fit_flat_sigma(profile, sigma)
         coeff_flavor = coeff_fit.verdict
-    seq = norm_sequence(series, n_max, "l2", sigma)
+    seq = norm_sequence(series, n_max, "l2")
     norm_fit = fit_radius_from_norms(seq, sigma)
     return CrossValidationReport(
         sigma=sigma,
@@ -513,9 +511,7 @@ def coeff_bound_from_norms(seq: NormSequence, order: int) -> LogScalar:
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    orders = seq.orders()
-    log_norms = seq.log_norms()
-    if orders.size == 0:
+    if seq.powers.size == 0:
         raise ValueError("empty norm sequence")
     lam = math.log(2.0 * order + seq.dimension)
-    return LogScalar.from_log(float(np.min(log_norms - orders * lam)))
+    return LogScalar.from_log(float(np.min(seq.logs - seq.powers * lam)))

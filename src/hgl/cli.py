@@ -195,18 +195,16 @@ def cmd_envelope(args) -> int:
 
 def cmd_norms(args) -> int:
     series = _resolve_series(args)
-    sigma = args.sigma if args.sigma is not None else 1.0
     cfg = _config_dict(args, series)
     kind = args.norm
     if kind.startswith("mod:"):
-        seq = norm_sequence_mod(series, args.n_max, MixedNormParams.parse(kind),
-                                sigma=sigma, n_min=args.n0)
+        seq = norm_sequence_mod(series, args.n_max, MixedNormParams.parse(kind), n_min=args.n0)
     else:
-        seq = norm_sequence(series, args.n_max, kind, sigma, n_min=args.n0)
+        seq = norm_sequence(series, args.n_max, kind, n_min=args.n0)
     if args.format == "json":
         text = report_json({"config": cfg,
-                            "values": [{"N": n, "log_norm": (v.log_magnitude if v.sign else None),
-                                        "norm_kind": seq.norm_kind} for n, v in seq.values]})
+                            "values": [{"N": n, "log_norm": v, "norm_kind": seq.norm_kind}
+                                       for n, v in zip(seq.powers.tolist(), seq.logs.tolist())]})
     else:
         text = norm_sequence_csv(seq, f"config: {json.dumps(cfg, sort_keys=True)}")
     _emit(text, args.out)
@@ -239,7 +237,7 @@ COMMANDS = {
     "envelope": ("tabulate a growth envelope", cmd_envelope,
                  ("sigma", "s", "radius", "n-max", "max-degree", "target", "format", "out")),
     "norms": ("norm sequence of oscillator powers", cmd_norms,
-              _INPUT + ("sigma", "n-max", "norm", "n0", "format", "out")),
+              _INPUT + ("n-max", "norm", "n0", "format", "out")),
     "verify-lemmas": ("run the inequality suites", cmd_verify_lemmas, ("t-min", "t-max", "out")),
 }
 

@@ -491,9 +491,8 @@ def check_infimum_bound(r1_values=(0.5, 1.0, 2.0), s_lo: float = 10.0,
     worst_ratio = -math.inf
     witness = {}
     for k, r1 in enumerate(r1_values):
-        # the log values infimum_coeff_bound reports for each s
-        logs = {j: {float(s): LogScalar.from_log(float(v)).log_magnitude
-                    for s, v in zip(s_grid_ext, vals[j][k * n_ext:(k + 1) * n_ext])}
+        # the log values infimum_coeff_bound reports for each s (all finite)
+        logs = {j: dict(zip(s_grid_ext.tolist(), vals[j][k * n_ext:(k + 1) * n_ext].tolist()))
                 for j in (1, 2)}
         for s in s_grid_ext:
             if logs[2][s] > logs[1][s] + 1e-9:

@@ -206,8 +206,8 @@ def norm_sequence_csv(seq: NormSequence, config_line: str = "") -> str:
         out.write(f"# {config_line}\n")
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(("N", "log_norm", "norm_kind"))
-    writer.writerows((n, repr(v.log_magnitude) if v.sign else "", seq.norm_kind)
-                     for n, v in seq.values)
+    writer.writerows((n, repr(v) if v > -math.inf else "", seq.norm_kind)
+                     for n, v in zip(seq.powers.tolist(), seq.logs.tolist()))
     return out.getvalue()
 
 

@@ -31,8 +31,8 @@ from scipy.special import gammaln, logsumexp
 from .logscalar import LogScalar
 from .classify import EnvelopeFit, fit_radius_from_norms
 from .series import HermiteSeries
-from .spectral import (GridSpec, NormSequence, _as_log_scalar, _grid_log_norms,
-                       _power_range, _powered_blocks, turning_point_extent)
+from .spectral import (GridSpec, NormSequence, _grid_log_norms, _power_range,
+                       _powered_blocks, turning_point_extent)
 
 __all__ = ["Weight", "StftGrid", "StftField", "MixedNormParams", "stft",
            "modulation_norm", "norm_sequence_mod", "norm_equiv_harness",
@@ -306,9 +306,8 @@ def _mod_log_norms(series: HermiteSeries, powers, params_list, grid: StftGrid) -
     return out
 
 
-def norm_sequence_mod(series: HermiteSeries, n_max: int, params: MixedNormParams,
-                      sigma: float = 1.0, *, grid: StftGrid | None = None,
-                      n_min: int = 0) -> NormSequence:
+def norm_sequence_mod(series: HermiteSeries, n_max: int, params: MixedNormParams, *,
+                      grid: StftGrid | None = None, n_min: int = 0) -> NormSequence:
     """Modulation norms of H^N f for N = n_min..n_max, d <= 2.
 
     One closed-form STFT basis per sequence; each power costs one
@@ -317,9 +316,7 @@ def norm_sequence_mod(series: HermiteSeries, n_max: int, params: MixedNormParams
     powers = _power_range(n_min, n_max)
     grid = grid or StftGrid.default_for(series)
     logs = _mod_log_norms(series, powers, [params], grid)[0]
-    return NormSequence(dimension=series.dimension, sigma=sigma,
-                        values=tuple((N, _as_log_scalar(v)) for N, v in zip(powers, logs)),
-                        norm_kind=params.label(), max_degree=series.max_degree)
+    return NormSequence(series.dimension, series.max_degree, params.label(), powers, logs)
 
 
 @dataclass(frozen=True)
@@ -373,17 +370,13 @@ def norm_equiv_harness(series: HermiteSeries, sigma: float, p0: float,
     grid = grid or StftGrid.default_for(series)
     powers = range(0, n_max + 1)
     lp_logs = _grid_log_norms(series, powers, p0, GridSpec())
-    lp_seq = NormSequence(dimension=1, sigma=sigma,
-                          values=tuple((N, _as_log_scalar(v)) for N, v in zip(powers, lp_logs)),
-                          norm_kind=("linf" if p0 == math.inf else f"lp:{p0:g}"),
-                          max_degree=series.max_degree)
+    lp_seq = NormSequence(1, series.max_degree, "linf" if p0 == math.inf else f"lp:{p0:g}",
+                          powers, lp_logs)
     q1, q2 = min(p0, _conjugate(p0)), max(p0, _conjugate(p0))
     w_const = MixedNormParams(p0, q1, Weight())
     w_const2 = MixedNormParams(p0, q2, Weight())
     mod_logs, m_q1, m_q2 = _mod_log_norms(series, powers, [params, w_const, w_const2], grid)
-    mod_seq = NormSequence(dimension=1, sigma=sigma,
-                           values=tuple((N, _as_log_scalar(mod_logs[N])) for N in mod_powers),
-                           norm_kind=params.label(), max_degree=series.max_degree)
+    mod_seq = NormSequence(1, series.max_degree, params.label(), mod_powers, mod_logs[n0:])
 
     lp_fit = fit_radius_from_norms(lp_seq, sigma)
     mod_fit = fit_radius_from_norms(mod_seq, sigma)

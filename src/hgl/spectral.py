@@ -45,32 +45,39 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class NormSequence:
-    """Norms of H^N f for consecutive powers N, stored as (N, LogScalar) pairs.
+    """log ||H^N f|| for strictly increasing powers N, as read-only arrays.
 
-    ``max_degree`` records the degree cutoff of the series the norms came
-    from; radius fits use it to evaluate the canonical comparison family at
-    the same truncation.
+    ``powers`` holds the N (int) and ``logs`` the natural log of each norm
+    (float, -inf for a zero norm).  ``max_degree`` records the degree cutoff
+    of the series the norms came from; radius fits use it to evaluate the
+    canonical comparison family at the same truncation.  ``norm_kind`` names
+    the norm: "l2", "linf", "lp:<p>" or "mod:<p>,<q>,<weight>".
     """
 
     dimension: int
-    sigma: float
-    values: tuple
     max_degree: int
-    norm_kind: str = "l2"
+    norm_kind: str
+    powers: np.ndarray
+    logs: np.ndarray
 
     def __post_init__(self):
-        ns = [n for n, _ in self.values]
-        if any(b <= a for a, b in zip(ns, ns[1:])):
+        powers = np.array(self.powers, dtype=np.int64)
+        logs = np.array(self.logs, dtype=float)
+        if powers.ndim != 1 or powers.shape != logs.shape:
+            raise ValueError("powers and logs must be 1-d arrays of one length")
+        if np.any(np.diff(powers) <= 0):
             raise ValueError("N values must be strictly increasing")
-        if any(v.sign < 0 for _, v in self.values):
-            raise ValueError("norms cannot be negative")
-        object.__setattr__(self, "values", tuple(self.values))
+        if np.isnan(logs).any():
+            raise ValueError("log norms must not be NaN")
+        for name, arr in (("powers", powers), ("logs", logs)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     def orders(self) -> np.ndarray:
-        return np.array([n for n, _ in self.values], dtype=int)
+        return self.powers
 
     def log_norms(self) -> np.ndarray:
-        return np.array([v.log_magnitude if v.sign else -math.inf for _, v in self.values])
+        return self.logs
 
 
 def turning_point_extent(max_degree: int, dimension: int, padding: float = 6.0) -> float:
@@ -119,7 +126,7 @@ def _log_coeff_arrays(series: HermiteSeries):
 
 def l2_norm(series: HermiteSeries) -> LogScalar:
     """Parseval norm sqrt(sum |c_alpha|^2), safe for any magnitude spread."""
-    return _as_log_scalar(_l2_log_norms_powered(series, np.zeros(1))[0])
+    return LogScalar.from_log(_l2_log_norms_powered(series, np.zeros(1))[0])
 
 
 def _l2_log_norms_powered(series: HermiteSeries, powers: np.ndarray) -> np.ndarray:
@@ -185,11 +192,7 @@ def lp_norm(series: HermiteSeries, p: float, grid: GridSpec | None = None) -> Lo
     smooth presets with M <= 50 in dimensions 1 and 2; integrands with zeros
     converge more slowly for odd p because |f|^p loses smoothness there.
     """
-    return _as_log_scalar(_grid_log_norms(series, [0], p, grid or GridSpec())[0])
-
-
-def _as_log_scalar(log: float) -> LogScalar:
-    return LogScalar.from_log(log) if log > -math.inf else LogScalar.zero()
+    return LogScalar.from_log(_grid_log_norms(series, [0], p, grid or GridSpec())[0])
 
 
 def _grid_log_norms(series: HermiteSeries, powers, p: float, grid: GridSpec) -> np.ndarray:
@@ -392,9 +395,8 @@ def _power_range(n_min: int, n_max: int) -> range:
     return range(n_min, n_max + 1)
 
 
-def norm_sequence(series: HermiteSeries, n_max: int, norm_kind: str = "l2",
-                  sigma: float = 1.0, *, grid: GridSpec | None = None,
-                  n_min: int = 0) -> NormSequence:
+def norm_sequence(series: HermiteSeries, n_max: int, norm_kind: str = "l2", *,
+                  grid: GridSpec | None = None, n_min: int = 0) -> NormSequence:
     """Norms of H^N f for N = n_min..n_max.
 
     ``norm_kind`` is "l2", "linf" or "lp:<p>".  The L2 route is a Parseval
@@ -404,20 +406,14 @@ def norm_sequence(series: HermiteSeries, n_max: int, norm_kind: str = "l2",
     space; every route therefore tolerates any power.
     """
     powers = np.array(_power_range(n_min, n_max))
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
     if norm_kind == "l2":
         logs = _l2_log_norms_powered(series, powers)
-        vals = [(int(n), LogScalar.from_log(l)) for n, l in zip(powers, logs)]
     elif norm_kind == "linf" or norm_kind.startswith("lp:"):
         p = math.inf if norm_kind == "linf" else float(norm_kind.split(":", 1)[1])
         logs = _grid_log_norms(series, powers, p, grid or GridSpec())
-        vals = [(int(n), _as_log_scalar(l)) for n, l in zip(powers, logs)]
     else:
         raise ValueError(f"unknown norm kind {norm_kind!r}")
-    return NormSequence(dimension=series.dimension, sigma=sigma,
-                        values=tuple(vals), norm_kind=norm_kind,
-                        max_degree=series.max_degree)
+    return NormSequence(series.dimension, series.max_degree, norm_kind, powers, logs)
 
 
 def stirling_bounds(alpha, dimension: int | None = None):

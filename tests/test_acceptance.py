@@ -200,7 +200,7 @@ def test_criterion_8_certification_bound():
     checked = 0
     for series in list(roumieu.values()) + list(beurling.values()):
         sigma = 1.0
-        seq = norm_sequence(series, 40, "l2", sigma)
+        seq = norm_sequence(series, 40, "l2")
         prof = shell_profile(series)
         for order in range(1, 41):
             bound = coeff_bound_from_norms(seq, order)

@@ -142,27 +142,27 @@ class TestClassify:
 class TestNormRoute:
     def test_roumieu_fixture_stable(self):
         s = synthetic_flat(1.0, 1.0, 80)
-        fit = fit_radius_from_norms(norm_sequence(s, 60, "l2", 1.0), 1.0)
+        fit = fit_radius_from_norms(norm_sequence(s, 60, "l2"), 1.0)
         assert fit.verdict == "roumieu"
         assert fit.radius.to_float() == pytest.approx(1.0, rel=0.05)
 
     def test_ground_state_collapses(self, ground_state):
-        fit = fit_radius_from_norms(norm_sequence(ground_state, 40, "l2", 1.0), 1.0)
+        fit = fit_radius_from_norms(norm_sequence(ground_state, 40, "l2"), 1.0)
         assert fit.verdict == "beurling"
 
     def test_gaussian_shell_decay_collapses(self):
         s = synthetic_s(0.25, 1.0, 80)  # c_k = exp(-k^2), faster than every radius
-        fit = fit_radius_from_norms(norm_sequence(s, 40, "l2", 1.0), 1.0)
+        fit = fit_radius_from_norms(norm_sequence(s, 40, "l2"), 1.0)
         assert fit.verdict == "beurling"
 
     def test_subfactorial_decay_never_fits(self):
         s = synthetic_s(0.5, 2.0, 80)  # c_k = exp(-2k), slower than the scale
-        fit = fit_radius_from_norms(norm_sequence(s, 40, "l2", 1.0), 1.0)
+        fit = fit_radius_from_norms(norm_sequence(s, 40, "l2"), 1.0)
         assert fit.verdict == "nofit"
 
     def test_too_few_points(self):
         s = synthetic_flat(1.0, 1.0, 40)
-        fit = fit_radius_from_norms(norm_sequence(s, 7, "l2", 1.0), 1.0)
+        fit = fit_radius_from_norms(norm_sequence(s, 7, "l2"), 1.0)
         assert fit.verdict == "nofit"
 
 
@@ -198,28 +198,28 @@ class TestCertification:
         for sigma in SIGMA_GRID:
             for radius in RADIUS_GRID:
                 s = synthetic_flat(sigma, radius, 80)
-                seq = norm_sequence(s, 40, "l2", sigma)
+                seq = norm_sequence(s, 40, "l2")
                 prof = shell_profile(s)
                 for order in range(1, 41):
                     bound = coeff_bound_from_norms(seq, order)
                     assert prof.log_values[order] <= bound.log_magnitude + 1e-12
 
     def test_ground_state_closed_form(self, ground_state):
-        seq = norm_sequence(ground_state, 10, "l2", 1.0)
+        seq = norm_sequence(ground_state, 10, "l2")
         bound = coeff_bound_from_norms(seq, 1)
         assert bound.log_magnitude == pytest.approx(-10 * math.log(3), rel=1e-12)
 
     def test_single_power_gives_total_norm(self):
         s = synthetic_flat(1.0, 1.0, 20)
-        seq = norm_sequence(s, 1, "l2", 1.0)
+        seq = norm_sequence(s, 1, "l2")
         from hgl.spectral import NormSequence
-        first = NormSequence(dimension=1, sigma=1.0, values=seq.values[:1],
-                             norm_kind="l2", max_degree=20)
+        first = NormSequence(dimension=1, max_degree=20, norm_kind="l2",
+                             powers=seq.powers[:1], logs=seq.logs[:1])
         bound = coeff_bound_from_norms(first, 5)
         assert bound.log_magnitude == pytest.approx(seq.log_norms()[0], rel=1e-12)
 
     def test_order_zero_rejected(self, ground_state):
-        seq = norm_sequence(ground_state, 4, "l2", 1.0)
+        seq = norm_sequence(ground_state, 4, "l2")
         with pytest.raises(ValueError):
             coeff_bound_from_norms(seq, 0)
 

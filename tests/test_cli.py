@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hgl.cli import EXIT_INPUT, EXIT_OK, build_parser, main
+from hgl.spectral import NormSequence
 
 from oracles import hermite_table, powered_abs_mp
 
@@ -22,7 +23,7 @@ OPTIONS = {
     "classify": INPUT + ["--sigma", "--n-max", "--out"],
     "envelope": ["--sigma", "--s", "--radius", "--n-max", "--max-degree", "--target",
                  "--format", "--out"],
-    "norms": INPUT + ["--sigma", "--n-max", "--norm", "--n0", "--format", "--out"],
+    "norms": INPUT + ["--n-max", "--norm", "--n0", "--format", "--out"],
     "verify-lemmas": ["--t-min", "--t-max", "--out"],
 }
 
@@ -35,7 +36,7 @@ def test_each_command_takes_only_the_flags_it_reads():
                       if s not in ("-h", "--help")]
                for name, sub in commands.items()}
     assert options == OPTIONS
-    assert sum(map(len, options.values())) == 36
+    assert sum(map(len, options.values())) == 35
     assert not parser.allow_abbrev
     assert not any(sub.allow_abbrev for sub in commands.values())
 
@@ -249,6 +250,28 @@ class TestNormsCommand:
             tables[n0] = lines[2:]
         assert [row.split(",")[0] for row in tables[4]] == ["4", "5", "6"]
         assert tables[4] == tables[0][4:]
+
+    def test_writers_emit_plain_numbers(self, capsys, monkeypatch):
+        # a zero norm, a float whose repr needs 17 digits and a quoted kind;
+        # a numpy scalar would print as np.float64(...) in the CSV
+        seq = NormSequence(1, 0, "mod:2,2,const", [0, 1, 2], [-math.inf, 0.1 + 0.2, -2.5])
+        monkeypatch.setattr("hgl.cli.norm_sequence_mod", lambda *args, **kwargs: seq)
+        argv = ["norms", "--preset", "hermite:0", "--norm", "mod:2,2,const", "--n-max", "2"]
+        assert run(argv) == EXIT_OK
+        assert capsys.readouterr().out == (
+            '# config: {"command": "norms", "dim": 1, "max_degree": 0, "n0": 0, "n_max": 2, '
+            '"norm": "mod:2,2,const", "preset": "hermite:0"}\n'
+            'N,log_norm,norm_kind\n'
+            '0,,"mod:2,2,const"\n'
+            '1,0.30000000000000004,"mod:2,2,const"\n'
+            '2,-2.5,"mod:2,2,const"\n')
+        assert run(argv + ["--format", "json"]) == EXIT_OK
+        rows = [f'  {{\n   "N": {n},\n   "log_norm": {v},\n   "norm_kind": "mod:2,2,const"\n  }}'
+                for n, v in ((0, "null"), (1, "0.30000000000000004"), (2, "-2.5"))]
+        assert capsys.readouterr().out == (
+            '{\n "config": {\n  "command": "norms",\n  "preset": "hermite:0",\n  "dim": 1,\n'
+            '  "max_degree": 0,\n  "n_max": 2,\n  "norm": "mod:2,2,const",\n  "n0": 0\n },\n'
+            ' "values": [\n' + ",\n".join(rows) + '\n ]\n}\n')
 
     def test_determinism_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -491,6 +514,7 @@ CONTRACT = [
     ("analyze --preset hermite:1 --format csv", 2, "error: unrecognized arguments"),
     ("envelope --dim 2", 2, "error: unrecognized arguments: --dim 2"),
     ("norms --preset hermite:0 --radius 2", 2, "error: unrecognized arguments"),
+    ("norms --preset gaussian:1.0 --sigma 1", 2, "error: unrecognized arguments: --sigma 1"),
     ("classify --preset hermite:3 --s 0.5", 2, "error: unrecognized arguments: --s 0.5"),
     ("norms --preset hermite:0 --n-m 3", 2, "error: unrecognized arguments: --n-m 3"),
     ("norms --preset hermite:0 --n0 5 --n-max 3", 2,

@@ -43,7 +43,7 @@ INPUT = ("--preset", "--input", "--dim", "--max-degree", "--quad-order")
 FLAGS = {"analyze": INPUT, "classify": INPUT + ("--sigma", "--n-max"),
          "envelope": ("--sigma", "--s", "--radius", "--n-max", "--max-degree", "--target",
                       "--format"),
-         "norms": INPUT + ("--sigma", "--n-max", "--norm", "--n0", "--format"),
+         "norms": INPUT + ("--n-max", "--norm", "--n0", "--format"),
          "verify-lemmas": ("--t-min", "--t-max")}
 # unknown flags, a stray positional, missing values, another command's flags
 ODD = (["--bogus"], ["stray"], ["--sigma"], ["--t-max"], ["--preset", "gaussian:1.0"],

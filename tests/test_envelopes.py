@@ -83,7 +83,7 @@ class TestFactorRatios:
         up = amplitude_factor_ratio(10.0, 12.0)
         down = amplitude_factor_ratio(12.0, 10.0)
         assert up.to_float() > 1.0
-        assert (up * down).to_float() == pytest.approx(1.0, rel=1e-14)
+        assert math.exp(up.log_magnitude + down.log_magnitude) == pytest.approx(1.0, rel=1e-14)
 
     def test_domain_guard(self):
         with pytest.raises(ValueError):
@@ -93,7 +93,8 @@ class TestFactorRatios:
 
     def test_product_telescopes_to_factor_ratio(self):
         for r, t1, t2 in ((0.3, 4.0, 7.0), (2.5, 10.0, 10.5), (1.0, 5.0, 5.0)):
-            lhs = (radius_factor_ratio(r, t1, t2) * amplitude_factor_ratio(t1, t2)).log_magnitude
+            lhs = (radius_factor_ratio(r, t1, t2).log_magnitude
+                   + amplitude_factor_ratio(t1, t2).log_magnitude)
             rhs = envelope_factor(r, t2).log_magnitude - envelope_factor(r, t1).log_magnitude
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
@@ -573,3 +574,19 @@ def test_factor_ratios_reject_t_max_at_or_below_the_t_floor():
             check_factor_ratios_bounded(1.0, t_max=t_max)
     with pytest.raises(ValueError, match="t floor 6.12"):
         check_factor_ratios_bounded(5.0, t_max=6.0)
+
+
+def test_infimum_logs_are_finite():
+    # check_infimum_bound uses each log as it is, so none may be -inf or NaN
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+    from hgl.envelopes import _infimum_logs
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.floats(10.0, 2000.0), min_size=1, max_size=8),
+           st.floats(0.05, 20.0), st.floats(0.1, 5.0))
+    def check(s, r1, sigma):
+        for domain in (1, 2):
+            assert np.isfinite(_infimum_logs(np.array(s), r1, sigma, domain, 1_000_000)).all()
+
+    check()

@@ -225,7 +225,7 @@ class TestOscillatorWeightShift:
 
 def test_norm_sequence_mod_matches_direct():
     s = synthetic_flat(1.0, 1.0, 10)
-    seq = norm_sequence_mod(s, 4, MixedNormParams(2, 2, Weight()), sigma=1.0)
+    seq = norm_sequence_mod(s, 4, MixedNormParams(2, 2, Weight()))
     assert seq.norm_kind == "mod:2,2,const"
     assert seq.max_degree == 10
     direct = l2_norm(apply_H(s, 4)).log_magnitude

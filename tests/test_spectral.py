@@ -86,17 +86,17 @@ class TestNormSequence:
     def test_ground_state_constant(self):
         s = HermiteSeries(dimension=1, max_degree=0, coefficients={(0,): 1.0})
         seq = norm_sequence(s, 4)
-        assert [v.to_float() for _, v in seq.values] == pytest.approx([1.0] * 5)
+        assert [math.exp(v) for v in seq.logs] == pytest.approx([1.0] * 5)
 
     def test_first_excited_powers_of_three(self):
         s = HermiteSeries(dimension=1, max_degree=1, coefficients={(1,): 1.0})
         seq = norm_sequence(s, 3)
-        assert [v.to_float() for _, v in seq.values] == pytest.approx([1, 3, 9, 27], rel=1e-12)
+        assert [math.exp(v) for v in seq.logs] == pytest.approx([1, 3, 9, 27], rel=1e-12)
 
     def test_two_dim_ground_state_powers_of_two(self):
         s = HermiteSeries(dimension=2, max_degree=0, coefficients={(0, 0): 1.0})
         seq = norm_sequence(s, 2)
-        assert [v.to_float() for _, v in seq.values] == pytest.approx([1, 2, 4], rel=1e-12)
+        assert [math.exp(v) for v in seq.logs] == pytest.approx([1, 2, 4], rel=1e-12)
 
     def test_monotone_growth_factor_d(self):
         s = finite_random(15, 7)
@@ -107,7 +107,7 @@ class TestNormSequence:
     def test_linf_kind(self):
         s = HermiteSeries(dimension=1, max_degree=0, coefficients={(0,): 1.0})
         seq = norm_sequence(s, 2, norm_kind="linf")
-        assert seq.values[0][1].to_float() == pytest.approx(math.pi**-0.25, rel=1e-9)
+        assert math.exp(seq.logs[0]) == pytest.approx(math.pi**-0.25, rel=1e-9)
 
     def test_stores_max_degree(self):
         s = finite_random(9, 0)
@@ -118,12 +118,20 @@ class TestNormSequence:
         s = finite_random(6, 1)
         params = MixedNormParams(2, 2, Weight())
         with pytest.raises(TypeError):
-            norm_sequence(s, 3, "linf", 1.0, GridSpec())
+            norm_sequence(s, 3, "linf", GridSpec())
         with pytest.raises(TypeError):
-            norm_sequence_mod(s, 3, params, 1.0, StftGrid.default_for(s))
-        # sigma is the fourth positional argument of both
-        assert norm_sequence(s, 3, "l2", 0.5).sigma == 0.5
-        assert norm_sequence_mod(s, 3, params, 0.5).sigma == 0.5
+            norm_sequence_mod(s, 3, params, StftGrid.default_for(s))
+
+    def test_record_refuses_bad_arrays(self):
+        from hgl import NormSequence
+        seq = NormSequence(1, 4, "l2", [0, 2, 5], [-math.inf, 0.5, 1.5])
+        assert seq.orders().tolist() == [0, 2, 5] and seq.log_norms()[0] == -math.inf
+        with pytest.raises(ValueError):
+            seq.logs[1] = 0.0
+        for powers, logs in (([0, 2, 2], [0.0, 1.0, 2.0]), ([0, 1], [0.0]),
+                             ([0, 1], [0.0, math.nan])):
+            with pytest.raises(ValueError):
+                NormSequence(1, 4, "l2", powers, logs)
 
     @pytest.mark.parametrize("n_max", [0, -2])
     def test_both_routes_refuse_n_max_below_one(self, n_max):
@@ -144,9 +152,9 @@ class TestOnePowerIsSequenceRow:
         s = finite_random(14 if dim == 1 else 6, 5, dimension=dim)
         kind = "linf" if p == math.inf else f"lp:{p:g}"
         seq = norm_sequence(s, 6, kind)
-        for n, v in seq.values:
+        for n, v in zip(seq.powers.tolist(), seq.logs.tolist()):
             one = lp_norm(apply_H(s, n), p)
-            assert one.log_magnitude == pytest.approx(v.log_magnitude, abs=1e-12)
+            assert one.log_magnitude == pytest.approx(v, abs=1e-12)
 
 
 class TestDerivativeRows:
