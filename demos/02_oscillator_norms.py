@@ -39,10 +39,10 @@ print("wrote", out)
 
 # L^p flavors on the window function
 g = HermiteSeries(dimension=1, max_degree=0, coefficients={(0,): 1.0})
-print("\nGaussian h_0 norms: sup =", lp_norm(g, math.inf).to_float(),
-      " L1 =", lp_norm(g, 1).to_float(), " L2 =", l2_norm(g).to_float())
+print("\nGaussian h_0 norms: sup =", math.exp(lp_norm(g, math.inf)),
+      " L1 =", math.exp(lp_norm(g, 1)), " L2 =", math.exp(l2_norm(g)))
 
 # --- the factorial bridge ---------------------------------------------------
 lo, up = stirling_bounds((2, 1))
 print("\n(d e)^{-|a|} |a|^{|a|} <= a! <= |a|^{|a|} at a=(2,1):",
-      f"{lo.to_float():.5f} <= 2 <= {up.to_float():.0f}")
+      f"{math.exp(lo):.5f} <= 2 <= {math.exp(up):.0f}")

@@ -17,22 +17,22 @@ from hgl.io import report_json
 print("norm envelope 2^N r^{N/log(N s)} (2Ns/log(Ns))^{N(1-1/log(Ns))}:")
 for n in (3, 10, 40):
     v = envelope_norm_flat(n, sigma=1.0, r=1.0)
-    print(f"  N={n:2d}: log E = {v.log_magnitude:10.3f}")
+    print(f"  N={n:2d}: log E = {v:10.3f}")
 print("coefficient envelope at alpha=(2,1), sigma=1, r=1:",
-      envelope_coeff_flat((2, 1), 1.0, 1.0).to_float(), "= 1/sqrt(2)")
+      math.exp(envelope_coeff_flat((2, 1), 1.0, 1.0)), "= 1/sqrt(2)")
 print("classical-scale envelope N=3, s=1/2, r=2:",
-      envelope_norm_s(3, 0.5, 2.0).to_float(), "= 2^3 3!")
+      math.exp(envelope_norm_s(3, 0.5, 2.0)), "= 2^3 3!")
 
 # identity linking the N-form to the t-form core at t = N sigma
 n, sigma, r = 7, 0.8, 2.5
-lhs = sigma * (envelope_norm_flat(n, sigma, r).log_magnitude - n * math.log(2))
-rhs = envelope_factor(r, n * sigma).log_magnitude
+lhs = sigma * (envelope_norm_flat(n, sigma, r) - n * math.log(2))
+rhs = envelope_factor(r, n * sigma)
 print(f"t-form consistency gap: {abs(lhs - rhs):.2e}")
 
 # envelope table to CSV
 rows = ["N,log_envelope"]
 for n in range(3, 41):
-    rows.append(f"{n},{envelope_norm_flat(n, 1.0, 1.0).log_magnitude!r}")
+    rows.append(f"{n},{envelope_norm_flat(n, 1.0, 1.0)!r}")
 table = Path(__file__).with_name("envelope_table.csv")
 table.write_text("\n".join(rows) + "\n")
 print("wrote", table)
@@ -49,7 +49,7 @@ reports = [
 print("\ninequality sweeps (fitted constants stable under grid doubling):")
 for rep in reports:
     print(f"  {rep.name:26s} passed={rep.passed}  "
-          f"fitted=exp({rep.fitted_constant.log_magnitude:8.4f})")
+          f"fitted=exp({rep.fitted_constant:8.4f})")
 out = Path(__file__).with_name("suite_report.json")
 out.write_text(report_json(reports))
 print("wrote", out)

@@ -6,6 +6,7 @@ norm envelopes) are run side by side and cross-validated.
 Run:  python3 demos/04_classification.py
 """
 
+import math
 from pathlib import Path
 
 from hgl import (HermiteSeries, classify, coeff_bound_from_norms, cross_validate,
@@ -27,17 +28,16 @@ for label, series in examples.items():
         bits.append(f"scale={g.parameter:.3f}")
     if g.flavor:
         bits.append(g.flavor)
-    if g.radius is not None and g.radius.sign:
-        bits.append(f"r*={g.radius.to_float(clamp=True):.3f}")
+    if g.radius is not None and g.radius > -math.inf:
+        bits.append(f"r*={math.exp(g.radius):.3f}")
     print(f"{label:22s} -> {', '.join(bits)}")
 
 # --- cross-validation of the two routes ---------------------------------------
 print("\ncoefficient route vs norm route at the generator's own sigma:")
 rep = cross_validate(synthetic_flat(1.0, 2.0, 80), sigma=1.0, n_max=40)
 print("  flavors:", rep.coeff_flavor, "/", rep.norm_flavor, "agree:", rep.agrees)
-print("  fitted radii: coeff",
-      rep.coeff_fit.radius.to_float(clamp=True),
-      " norm", rep.norm_fit.radius.to_float(clamp=True),
+print("  fitted radii: coeff", math.exp(rep.coeff_fit.radius),
+      " norm", math.exp(rep.norm_fit.radius),
       " (radii are reported, not asserted equal)")
 
 rep_wrong = cross_validate(synthetic_flat(1.0, 1.0, 80), sigma=3.0, n_max=40)
@@ -55,5 +55,5 @@ prof = shell_profile(s)
 print("\ncertified |c| bounds from the norm sequence (shell k):")
 for k in (5, 10, 20):
     bound = coeff_bound_from_norms(seq, k)
-    print(f"  k={k:2d}: bound exp({bound.log_magnitude:9.4f})"
+    print(f"  k={k:2d}: bound exp({bound:9.4f})"
           f"  actual exp({prof.log_values[k]:9.4f})")

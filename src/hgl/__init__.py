@@ -7,7 +7,6 @@ extended growth scale, with the coefficient route and the oscillator-norm
 route cross-validating each other.
 """
 
-from .logscalar import LogRangeError, LogScalar
 from .hermite import hermite_eval, hermite_eval_multi, hermite_matrix
 from .quadrature import QuadratureError, gauss_hermite_rule
 from .series import HermiteSeries, MultiIndex, analyze, synthesize, synthesize_many

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln
 
-from .logscalar import LogScalar
+from .io import log_field
 from .series import HermiteSeries
 from .spectral import NormSequence, norm_sequence
 
@@ -93,7 +93,7 @@ class EnvelopeFit:
     scale_kind: str
     scale: float
     verdict: str
-    radius: LogScalar
+    radius: float = log_field()
     fit_window: tuple
     drift: float
     stability: float
@@ -106,7 +106,7 @@ class EnvelopeFit:
 
 def _nofit(scale_kind: str, scale: float, reason: str) -> EnvelopeFit:
     return EnvelopeFit(scale_kind=scale_kind, scale=scale, verdict="nofit",
-                       radius=LogScalar.zero(), fit_window=(0, 0), drift=math.nan,
+                       radius=-math.inf, fit_window=(0, 0), drift=math.nan,
                        stability=math.nan, orders=np.array([], dtype=int),
                        log_radii=np.array([]), residuals=np.array([]), reason=reason)
 
@@ -176,7 +176,7 @@ def _drift_verdict(ks: np.ndarray, log_radii: np.ndarray, scale_kind: str,
     stability = lim1 - lim0
     peak = float(np.max(log_radii))
 
-    fit = dict(scale_kind=scale_kind, scale=scale, radius=LogScalar.from_log(lim1),
+    fit = dict(scale_kind=scale_kind, scale=scale, radius=lim1,
                fit_window=(int(ks[w1][0]), int(ks[w1][-1])), drift=drift,
                stability=stability, orders=ks, log_radii=log_radii,
                residuals=resid)
@@ -305,7 +305,7 @@ class GrowthClass:
     kind: str
     parameter: float | None = None
     flavor: str | None = None
-    radius: LogScalar | None = None
+    radius: float | None = log_field(default=None)
     degree: int | None = None
     gauge: str = field(default=GAUGE_NOTE, init=False)
     diagnostics: dict = field(default_factory=dict)
@@ -501,8 +501,8 @@ def cross_validate(series: HermiteSeries, sigma: float, n_max: int = 40) -> Cros
     )
 
 
-def coeff_bound_from_norms(seq: NormSequence, order: int) -> LogScalar:
-    """Certified upper bound for every |c_alpha| with |alpha| = order:
+def coeff_bound_from_norms(seq: NormSequence, order: int) -> float:
+    """log of a certified upper bound for every |c_alpha| with |alpha| = order:
 
         min over recorded N of ||H^N f||_{L2} / (2 order + d)^N.
 
@@ -514,4 +514,4 @@ def coeff_bound_from_norms(seq: NormSequence, order: int) -> LogScalar:
     if seq.powers.size == 0:
         raise ValueError("empty norm sequence")
     lam = math.log(2.0 * order + seq.dimension)
-    return LogScalar.from_log(float(np.min(seq.logs - seq.powers * lam)))
+    return float(np.min(seq.logs - seq.powers * lam))

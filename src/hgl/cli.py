@@ -162,10 +162,9 @@ def cmd_envelope(args) -> int:
     if args.target == "coeff":
         for k in range(0, args.max_degree + 1):
             if args.s is not None:
-                v = envelopes.envelope_coeff_s((k,), args.s, r)
+                rows.append((k, envelopes.envelope_coeff_s((k,), args.s, r)))
             else:
-                v = envelopes.envelope_coeff_flat((k,), sigma, r)
-            rows.append((k, v.log_magnitude))
+                rows.append((k, envelopes.envelope_coeff_flat((k,), sigma, r)))
         header = "k,log_envelope"
     else:
         for n in range(0, args.n_max + 1):
@@ -173,13 +172,16 @@ def cmd_envelope(args) -> int:
                 if n == 0:
                     rows.append((0, 0.0))
                     continue
-                rows.append((n, envelopes.envelope_norm_s(n, args.s, r).log_magnitude))
+                rows.append((n, envelopes.envelope_norm_s(n, args.s, r)))
             else:
                 if n < 1 or n * sigma <= math.e:
                     skipped += 1
                     continue
-                rows.append((n, envelopes.envelope_norm_flat(n, sigma, r).log_magnitude))
+                rows.append((n, envelopes.envelope_norm_flat(n, sigma, r)))
         header = "N,log_envelope"
+    bad = [k for k, v in rows if not math.isfinite(v)]
+    if bad:     # a log beyond the float range has no finite row to print
+        raise OverflowError(f"log envelope at {header[0]} = {bad[0]} is out of float range")
     if skipped:
         print(f"warning: {skipped} rows omitted (N*sigma <= e)", file=sys.stderr)
     if args.format == "json":

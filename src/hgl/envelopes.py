@@ -1,7 +1,8 @@
 """Growth envelopes and numeric certification of their working inequalities.
 
 Everything here is evaluated in the log domain: the envelopes reach exp(700)
-within a few dozen oscillator powers at sigma = 1.  The ``check_*`` suites
+within a few dozen oscillator powers at sigma = 1, so each pointwise function
+returns the natural log of its value as a float.  The ``check_*`` suites
 sweep parameter grids, fit the existential constants the inequalities merely
 assert, and report pass/fail against stability-under-grid-extension criteria.
 
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .logscalar import LogScalar
+from .io import log_field
 from .series import MultiIndex
 
 __all__ = [
@@ -41,17 +42,17 @@ class EnvelopeSearchError(RuntimeError):
 class BoundCheckReport:
     """Outcome of one inequality sweep.
 
-    ``max_ratio`` is the largest left/right ratio encountered (the quantity
-    the inequality bounds), ``fitted_constant`` the constant the sweep fits
-    for it, ``witness`` the grid point achieving the max.  ``passed`` states
-    ``max drift <= threshold`` for the check's stability criterion; the
-    details dict carries the raw per-check data.
+    ``max_ratio`` is the log of the largest left/right ratio encountered
+    (the quantity the inequality bounds), ``fitted_constant`` the log of the
+    constant the sweep fits for it, ``witness`` the grid point achieving the
+    max.  ``passed`` states ``max drift <= threshold`` for the check's
+    stability criterion; the details dict carries the raw per-check data.
     """
 
     name: str
     grid: dict
-    max_ratio: LogScalar
-    fitted_constant: LogScalar
+    max_ratio: float = log_field()
+    fitted_constant: float = log_field()
     witness: dict
     passed: bool
     threshold: float
@@ -67,7 +68,7 @@ def _check_t(t: float, floor: float = _E) -> None:
         raise ValueError(f"t must exceed {floor:.6g}, got {t}")
 
 
-def envelope_norm_flat(N: int, sigma: float, r: float) -> LogScalar:
+def envelope_norm_flat(N: int, sigma: float, r: float) -> float:
     """Norm envelope of the flat scale:
 
         2^N r^{N/log(N sigma)} (2 N sigma / log(N sigma))^{N (1 - 1/log(N sigma))}
@@ -80,47 +81,50 @@ def envelope_norm_flat(N: int, sigma: float, r: float) -> LogScalar:
     if sigma <= 0 or r <= 0:
         raise ValueError("sigma and r must be positive")
     t = N * sigma
+    if not math.isfinite(t):
+        raise ValueError(f"N*sigma must be finite (got N = {N}, sigma = {sigma:.6g})")
     if t <= _E:
         raise ValueError(f"N*sigma must exceed e (got {t:.6g}); exclude small N")
     lt = math.log(t)
-    log_val = (N * math.log(2.0)
-               + (N / lt) * math.log(r)
-               + N * (1.0 - 1.0 / lt) * math.log(2.0 * t / lt))
-    return LogScalar.from_log(log_val)
+    return (N * math.log(2.0)
+            + (N / lt) * math.log(r)
+            + N * (1.0 - 1.0 / lt) * math.log(2.0 * t / lt))
 
 
-def envelope_coeff_flat(alpha, sigma: float, r: float) -> LogScalar:
+def envelope_coeff_flat(alpha, sigma: float, r: float) -> float:
     """Coefficient envelope r^{|alpha|} (alpha!)^{-1/(2 sigma)}."""
     if sigma <= 0 or r <= 0:
         raise ValueError("sigma and r must be positive")
     idx = alpha if isinstance(alpha, MultiIndex) else MultiIndex(alpha)
-    return LogScalar.from_log(idx.order * math.log(r) - idx.log_factorial / (2.0 * sigma))
+    return idx.order * math.log(r) - idx.log_factorial / (2.0 * sigma)
 
 
-def envelope_coeff_s(alpha, s: float, r: float) -> LogScalar:
+def envelope_coeff_s(alpha, s: float, r: float) -> float:
     """Coefficient envelope exp(-r |alpha|^{1/(2s)})."""
     if s <= 0 or r <= 0:
         raise ValueError("s and r must be positive")
     idx = alpha if isinstance(alpha, MultiIndex) else MultiIndex(alpha)
-    return LogScalar.from_log(-r * idx.order ** (1.0 / (2.0 * s)))
+    # 0.5 / s, not 1 / (2 s): 2s overflows for s > 9e307, and 0 ** 0 is 1
+    return -r * idx.order ** (0.5 / s)
 
 
-def envelope_norm_s(N: int, s: float, r: float) -> LogScalar:
+def envelope_norm_s(N: int, s: float, r: float) -> float:
     """Norm envelope of the classical scale: r^N (N!)^{2s}."""
     if N < 0:
         raise ValueError("N must be >= 0")
     if s <= 0 or r <= 0:
         raise ValueError("s and r must be positive")
-    return LogScalar.from_log(N * math.log(r) + 2.0 * s * math.lgamma(N + 1))
+    # s * (2 lgamma), not 2s * lgamma: 2s can overflow, and inf * lgamma(2) is NaN
+    return N * math.log(r) + s * (2.0 * math.lgamma(N + 1))
 
 
-def radius_factor_ratio(r: float, t1: float, t2: float) -> LogScalar:
+def radius_factor_ratio(r: float, t1: float, t2: float) -> float:
     """Ratio r^{t2/log t2} / r^{t1/log t1} for t1, t2 > e."""
     if r <= 0:
         raise ValueError("r must be positive")
     _check_t(t1)
     _check_t(t2)
-    return LogScalar.from_log((t2 / math.log(t2) - t1 / math.log(t1)) * math.log(r))
+    return (t2 / math.log(t2) - t1 / math.log(t1)) * math.log(r)
 
 
 def _log_amplitude(t: float) -> float:
@@ -129,22 +133,22 @@ def _log_amplitude(t: float) -> float:
     return t * (1.0 - 1.0 / lt) * math.log(2.0 * t / lt)
 
 
-def amplitude_factor_ratio(t1: float, t2: float) -> LogScalar:
+def amplitude_factor_ratio(t1: float, t2: float) -> float:
     """Ratio of the (2t/log t)^{t(1-1/log t)} factors at t2 and t1."""
     _check_t(t1)
     _check_t(t2)
-    return LogScalar.from_log(_log_amplitude(t2) - _log_amplitude(t1))
+    return _log_amplitude(t2) - _log_amplitude(t1)
 
 
-def envelope_factor(r: float, t: float) -> LogScalar:
+def envelope_factor(r: float, t: float) -> float:
     """The t-form envelope core (2t/log t)^{t(1-1/log t)} r^{t/log t}, t > e."""
     if r <= 0:
         raise ValueError("r must be positive")
     _check_t(t)
-    return LogScalar.from_log(_log_amplitude(t) + (t / math.log(t)) * math.log(r))
+    return _log_amplitude(t) + (t / math.log(t)) * math.log(r)
 
 
-def peak_term(s: float, r: float, t: float) -> LogScalar:
+def peak_term(s: float, r: float, t: float) -> float:
     """The term s^{2t} (2re)^s / s^s whose max over s the envelopes dominate."""
     if s < 1:
         raise ValueError("s must be >= 1")
@@ -152,7 +156,7 @@ def peak_term(s: float, r: float, t: float) -> LogScalar:
         raise ValueError("r must be positive")
     if t < 0:
         raise ValueError("t must be >= 0")
-    return LogScalar.from_log(2.0 * t * math.log(s) + s * math.log(2.0 * r * _E) - s * math.log(s))
+    return 2.0 * t * math.log(s) + s * math.log(2.0 * r * _E) - s * math.log(s)
 
 
 # ----------------------------------------------------------------------
@@ -267,8 +271,8 @@ def check_factor_ratios_bounded(R: float, t_max: float = 1e3, nr: int = 24,
     return BoundCheckReport(
         name="factor_ratios_bounded",
         grid={"R": R, "t_max": t_max, "nr": nr, "nt": nt, "nu": nu},
-        max_ratio=LogScalar.from_log(log_c1),
-        fitted_constant=LogScalar.from_log(max(log_c1, log_c2)),
+        max_ratio=log_c1,
+        fitted_constant=max(log_c1, log_c2),
         witness=witness,
         passed=bool(passed),
         threshold=threshold,
@@ -345,8 +349,8 @@ def check_envelope_factor_monotone(sigma: float, t_max: float = 200.0, nt: int =
         name="envelope_factor_monotone",
         grid={"sigma": sigma, "t_min": t_lo, "t_max": t_max, "nt": nt,
               "r_up": list(r_up), "r_down": list(r_down), "n_sigma0": n_sigma0},
-        max_ratio=LogScalar.from_log(worst),
-        fitted_constant=LogScalar.from_log(max(worst, 0.0)),
+        max_ratio=worst,
+        fitted_constant=max(worst, 0.0),
         witness=witness,
         passed=bool(passed),
         threshold=slack,
@@ -453,7 +457,7 @@ def _continuum_infimum(log_s: np.ndarray, log_r1: np.ndarray) -> np.ndarray:
 
 
 def infimum_coeff_bound(s: float, r1: float, sigma: float = 1.0, domain: int = 2,
-                        n_cap: int = _N_CAP) -> LogScalar:
+                        n_cap: int = _N_CAP) -> float:
     """inf over t of s^{-t} (2t/log t)^{t(1-1/log t)} r1^{t/log t}.
 
     ``domain`` 1 restricts t to multiples of sigma at or above e (exact
@@ -462,8 +466,7 @@ def infimum_coeff_bound(s: float, r1: float, sigma: float = 1.0, domain: int = 2
     one-element case of the array search that ``check_infimum_bound`` runs
     over its whole s-grid at once.
     """
-    return LogScalar.from_log(
-        float(_infimum_logs(np.array([float(s)]), r1, sigma, domain, n_cap)[0]))
+    return float(_infimum_logs(np.array([float(s)]), r1, sigma, domain, n_cap)[0])
 
 
 def check_infimum_bound(r1_values=(0.5, 1.0, 2.0), s_lo: float = 10.0,
@@ -516,8 +519,8 @@ def check_infimum_bound(r1_values=(0.5, 1.0, 2.0), s_lo: float = 10.0,
         name="infimum_coeff_bound",
         grid={"r1_values": list(r1_values), "s_lo": s_lo, "s_hi": s_hi,
               "ns": ns, "sigma": sigma},
-        max_ratio=LogScalar.from_log(worst_ratio),
-        fitted_constant=LogScalar.from_log(worst_ratio),
+        max_ratio=worst_ratio,
+        fitted_constant=worst_ratio,
         witness=witness,
         passed=bool(passed),
         threshold=threshold,
@@ -624,8 +627,8 @@ def check_peak_term_bounded(r: float, t_grid=(10.0, 20.0, 40.0, 80.0, 160.0),
     return BoundCheckReport(
         name="peak_term_bounded",
         grid={"r": r, "t_grid": [float(t) for t in t_grid]},
-        max_ratio=LogScalar.from_log(log_rho_base),
-        fitted_constant=LogScalar.from_log(log_rho_ext),
+        max_ratio=log_rho_base,
+        fitted_constant=log_rho_ext,
         witness={"t": t_witness},
         passed=bool(passed),
         threshold=threshold,

@@ -4,12 +4,14 @@ All writers are deterministic (sorted entries, fixed key order) and atomic
 (write to a sibling temp file, then rename), so identical inputs produce
 byte-identical files.  Reports are strict JSON with the layout of
 ``json.dumps(..., indent=1)``.  One set of rules (``_plain``) turns report
-fields into plain values: LogScalar becomes the pair {"sign", "log"} (this
-module owns that format), a dataclass report {field name: value} in
-declaration order, numpy values their ``tolist()``, and non-finite floats
-null.  ``report_json`` applies the rules while it writes, in one walk, and
-the coefficient JSON writer uses that walk for its config object;
-``json_value`` applies them without writing, for a report wanted as a dict.
+fields into plain values: a dataclass report becomes {field name: value} in
+declaration order, with each field marked by ``log_field`` (a log as a
+float, -inf for zero) written as the pair {"sign": 0 or 1, "log": x or null}
+(this module owns that format), numpy values become their ``tolist()``, and
+non-finite floats null.  ``report_json`` applies the rules while it writes,
+in one walk, and the coefficient JSON writer uses that walk for its config
+object; ``json_value`` applies them without writing, for a report wanted as
+a dict.
 """
 
 from __future__ import annotations
@@ -29,11 +31,11 @@ import numpy as np
 
 from .series import HermiteSeries
 from .spectral import NormSequence
-from .logscalar import LogScalar
 
 __all__ = ["series_json", "save_series", "load_series", "load_samples_csv",
            "norm_sequence_csv", "save_norm_sequence_csv", "json_value",
-           "report_json", "save_json_report", "atomic_write_text", "InputFormatError"]
+           "report_json", "save_json_report", "atomic_write_text", "log_field",
+           "InputFormatError"]
 
 
 class InputFormatError(ValueError):
@@ -216,20 +218,35 @@ def save_norm_sequence_csv(seq: NormSequence, path, config_line: str = "") -> No
     atomic_write_text(path, norm_sequence_csv(seq, config_line))
 
 
+def log_field(**kwargs):
+    """A report dataclass field that holds a log: a float, -inf for a zero
+    value, or None for an absent one.  Reports write a float there as
+    {"sign": 0 or 1, "log": x or null}."""
+    return dataclasses.field(metadata={"log": True}, **kwargs)
+
+
+def _field_value(obj, f: dataclasses.Field):
+    """Field ``f`` of a dataclass, a ``log_field`` float as its pair."""
+    value = getattr(obj, f.name)
+    if value is None or not f.metadata.get("log"):
+        return value
+    if math.isnan(value):
+        raise ValueError(f"log field {f.name} must not be NaN")
+    return {"sign": 0, "log": None} if value == -math.inf else {"sign": 1, "log": value}
+
+
 def _plain(obj):
-    """One node under the report rules: LogScalar becomes {"sign", "log"}
-    (log null for zero), any other dataclass instance {field name: value}
-    in declaration order (its fields are walked in turn, not converted
-    here), numpy scalars and arrays their ``tolist()`` values, non-finite
-    floats None (null); anything else is returned as it is."""
+    """One node under the report rules: a dataclass instance becomes
+    {field name: value} in declaration order, with ``log_field`` floats as
+    their {"sign", "log"} pairs (its fields are walked in turn, not
+    converted here), numpy scalars and arrays their ``tolist()`` values,
+    non-finite floats None (null); anything else is returned as it is."""
     if isinstance(obj, float):  # numpy float64 included
         return float(obj) if math.isfinite(obj) else None
-    if isinstance(obj, LogScalar):    # before the dataclass rule: it is one
-        return {"sign": obj.sign, "log": obj.log_magnitude if obj.sign else None}
     if isinstance(obj, (np.ndarray, np.generic)):
         return _plain(obj.tolist())
     if dataclasses.is_dataclass(obj):
-        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+        return {f.name: _field_value(obj, f) for f in dataclasses.fields(obj)}
     return obj
 
 

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .logscalar import LogScalar
 from .classify import EnvelopeFit, fit_radius_from_norms
 from .series import HermiteSeries
 from .spectral import (GridSpec, NormSequence, _grid_log_norms, _power_range,
@@ -252,8 +251,8 @@ def stft(series: HermiteSeries, grid: StftGrid | None = None) -> StftField:
     return StftField(series.dimension, smap.field(series.dense()), x, xi, grid)
 
 
-def modulation_norm(fld: StftField, params: MixedNormParams) -> LogScalar:
-    """Discrete weighted mixed norm of an STFT field.
+def modulation_norm(fld: StftField, params: MixedNormParams) -> float:
+    """log of the discrete weighted mixed norm of an STFT field, -inf for zero.
 
     Inner ell^p over the spatial axes, outer ell^q over the frequency axes;
     p or q = inf take sups.  Computed in the log domain.
@@ -269,7 +268,7 @@ def modulation_norm(fld: StftField, params: MixedNormParams) -> LogScalar:
     with np.errstate(divide="ignore"):
         log_f = np.log(vals) + params.weight.log_on(radial)
     if not np.any(np.isfinite(log_f)):
-        return LogScalar.zero()
+        return -math.inf
     x_axes = tuple(range(d))
     f_axes = tuple(range(d, 2 * d))
     log_dx = d * math.log(fld.grid.spatial_step)
@@ -283,9 +282,9 @@ def modulation_norm(fld: StftField, params: MixedNormParams) -> LogScalar:
     else:
         finite = inner[np.isfinite(inner)]
         if finite.size == 0:
-            return LogScalar.zero()
+            return -math.inf
         out = float((logsumexp(params.q * finite) + log_dxi) / params.q)
-    return LogScalar.from_log(out)
+    return out
 
 
 def _mod_log_norms(series: HermiteSeries, powers, params_list, grid: StftGrid) -> np.ndarray:
@@ -301,8 +300,7 @@ def _mod_log_norms(series: HermiteSeries, powers, params_list, grid: StftGrid) -
     for j, (top, block) in enumerate(_powered_blocks(series, powers)):
         fld = StftField(series.dimension, smap.field(block), x, xi, grid)
         for i, params in enumerate(params_list):
-            nrm = modulation_norm(fld, params)
-            out[i, j] = top + nrm.log_magnitude if nrm.sign else -math.inf
+            out[i, j] = top + modulation_norm(fld, params)
     return out
 
 

@@ -66,7 +66,8 @@ def synthetic_flat(sigma: float, r: float, max_degree: int) -> HermiteSeries:
 def synthetic_s(s: float, r: float, max_degree: int) -> HermiteSeries:
     """Exact classical-scale generator c_k = exp(-r k^{1/(2s)}), dimension 1."""
     _check_synthetic(s, r, max_degree)
-    powers = map(math.pow, range(max_degree + 1), repeat(1.0 / (2.0 * s)))
+    # 0.5 / s, not 1 / (2 s): 2s overflows for s > 9e307, and 0 ** 0 is 1
+    powers = map(math.pow, range(max_degree + 1), repeat(0.5 / s))
     return _line_series(-r * np.array(list(powers)), max_degree)
 
 

@@ -16,7 +16,6 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .hermite import hermite_derivative_rows, hermite_matrix
-from .logscalar import LogScalar
 from .series import HermiteSeries, MultiIndex
 from .quadrature import gauss_hermite_rule
 
@@ -124,9 +123,10 @@ def _log_coeff_arrays(series: HermiteSeries):
             np.array(list(map(math.log, lam.tolist()))), nonzero)
 
 
-def l2_norm(series: HermiteSeries) -> LogScalar:
-    """Parseval norm sqrt(sum |c_alpha|^2), safe for any magnitude spread."""
-    return LogScalar.from_log(_l2_log_norms_powered(series, np.zeros(1))[0])
+def l2_norm(series: HermiteSeries) -> float:
+    """log of the Parseval norm sqrt(sum |c_alpha|^2), -inf for the zero
+    series; safe for any magnitude spread."""
+    return float(_l2_log_norms_powered(series, np.zeros(1))[0])
 
 
 def _l2_log_norms_powered(series: HermiteSeries, powers: np.ndarray) -> np.ndarray:
@@ -181,8 +181,8 @@ def _synthesize_dense(block: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return re + 1j * contract(block.imag)
 
 
-def lp_norm(series: HermiteSeries, p: float, grid: GridSpec | None = None) -> LogScalar:
-    """Numerical L^p norm of the synthesized series, p in [1, inf].
+def lp_norm(series: HermiteSeries, p: float, grid: GridSpec | None = None) -> float:
+    """log of the numerical L^p norm of the synthesized series, p in [1, inf].
 
     The one-power case of the grid routes of ``norm_sequence``.  Finite p
     integrates |f|^p by Gauss-Hermite quadrature with the exp(+x^2)
@@ -192,7 +192,7 @@ def lp_norm(series: HermiteSeries, p: float, grid: GridSpec | None = None) -> Lo
     smooth presets with M <= 50 in dimensions 1 and 2; integrands with zeros
     converge more slowly for odd p because |f|^p loses smoothness there.
     """
-    return LogScalar.from_log(_grid_log_norms(series, [0], p, grid or GridSpec())[0])
+    return float(_grid_log_norms(series, [0], p, grid or GridSpec())[0])
 
 
 def _grid_log_norms(series: HermiteSeries, powers, p: float, grid: GridSpec) -> np.ndarray:
@@ -419,8 +419,8 @@ def norm_sequence(series: HermiteSeries, n_max: int, norm_kind: str = "l2", *,
 def stirling_bounds(alpha, dimension: int | None = None):
     """Two-sided bound ((d e)^{-|a|} |a|^{|a|}, |a|^{|a|}) enclosing alpha!.
 
-    Returns the pair as LogScalars; |alpha| = 0 is refused since the bound
-    is vacuous there.
+    Returns the logs of the pair as floats; |alpha| = 0 is refused since the
+    bound is vacuous there.
     """
     idx = alpha if isinstance(alpha, MultiIndex) else MultiIndex(alpha)
     d = len(idx) if dimension is None else int(dimension)
@@ -431,4 +431,4 @@ def stirling_bounds(alpha, dimension: int | None = None):
         raise ValueError("bounds require |alpha| >= 1")
     log_upper = k * math.log(k)
     log_lower = log_upper - k * (math.log(d) + 1.0)
-    return LogScalar.from_log(log_lower), LogScalar.from_log(log_upper)
+    return log_lower, log_upper

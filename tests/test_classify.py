@@ -35,7 +35,7 @@ class TestFitFlatSigma:
     def test_recovers_generator_radius(self):
         fit = fit_flat_sigma(shell_profile(synthetic_flat(1.0, 2.0, 80)), 1.0)
         assert fit.verdict == "roumieu"
-        assert fit.radius.to_float() == pytest.approx(2.0, rel=0.1)
+        assert math.exp(fit.radius) == pytest.approx(2.0, rel=0.1)
 
     def test_finite_series_cannot_fit(self):
         s = HermiteSeries(dimension=1, max_degree=5, coefficients={(k,): 1.0 for k in range(6)})
@@ -62,7 +62,7 @@ class TestFitSType:
     def test_exponential_decay(self):
         fit = fit_s_type(shell_profile(synthetic_s(0.5, 3.0, 80)), 0.5)
         assert fit.verdict == "roumieu"
-        assert fit.radius.to_float() == pytest.approx(3.0, rel=0.05)
+        assert math.exp(fit.radius) == pytest.approx(3.0, rel=0.05)
 
     def test_gaussian_decay_beurling_at_half(self):
         fit = fit_s_type(shell_profile(synthetic_s(0.25, 1.0, 80)), 0.5)
@@ -105,14 +105,14 @@ class TestClassify:
         assert result.kind == "flat_sigma"
         assert result.parameter == pytest.approx(1.0, rel=0.1)
         assert result.flavor == "roumieu"
-        assert result.radius.to_float() == pytest.approx(1.0, rel=0.1)
+        assert math.exp(result.radius) == pytest.approx(1.0, rel=0.1)
 
     def test_s_scale_fixture(self):
         result = classify(synthetic_s(0.25, 2.0, 80))
         assert result.kind == "s_type"
         assert result.parameter == pytest.approx(0.25, rel=0.1)
         assert result.flavor == "roumieu"
-        assert result.radius.to_float() == pytest.approx(2.0, rel=0.1)
+        assert math.exp(result.radius) == pytest.approx(2.0, rel=0.1)
 
     def test_probe_diagnostics_present(self):
         result = classify(synthetic_flat(1.0, 1.0, 80))
@@ -126,8 +126,7 @@ class TestClassify:
         a, b = classify(base), classify(base.scaled(factor))
         assert (a.kind, a.flavor) == (b.kind, b.flavor)
         assert b.parameter == pytest.approx(a.parameter, rel=0.1)
-        assert b.radius.log_magnitude == pytest.approx(a.radius.log_magnitude,
-                                                       abs=math.log(1.05))
+        assert b.radius == pytest.approx(a.radius, abs=math.log(1.05))
 
     @pytest.mark.parametrize("sigma", SIGMA_GRID)
     def test_oscillator_invariance(self, sigma):
@@ -135,8 +134,7 @@ class TestClassify:
         a, b = classify(base), classify(apply_H(base, 1))
         assert (a.kind, a.flavor) == (b.kind, b.flavor)
         assert b.parameter == pytest.approx(a.parameter, rel=0.1)
-        assert b.radius.log_magnitude == pytest.approx(a.radius.log_magnitude,
-                                                       abs=math.log(1.05))
+        assert b.radius == pytest.approx(a.radius, abs=math.log(1.05))
 
 
 class TestNormRoute:
@@ -144,7 +142,7 @@ class TestNormRoute:
         s = synthetic_flat(1.0, 1.0, 80)
         fit = fit_radius_from_norms(norm_sequence(s, 60, "l2"), 1.0)
         assert fit.verdict == "roumieu"
-        assert fit.radius.to_float() == pytest.approx(1.0, rel=0.05)
+        assert math.exp(fit.radius) == pytest.approx(1.0, rel=0.05)
 
     def test_ground_state_collapses(self, ground_state):
         fit = fit_radius_from_norms(norm_sequence(ground_state, 40, "l2"), 1.0)
@@ -202,12 +200,12 @@ class TestCertification:
                 prof = shell_profile(s)
                 for order in range(1, 41):
                     bound = coeff_bound_from_norms(seq, order)
-                    assert prof.log_values[order] <= bound.log_magnitude + 1e-12
+                    assert prof.log_values[order] <= bound + 1e-12
 
     def test_ground_state_closed_form(self, ground_state):
         seq = norm_sequence(ground_state, 10, "l2")
         bound = coeff_bound_from_norms(seq, 1)
-        assert bound.log_magnitude == pytest.approx(-10 * math.log(3), rel=1e-12)
+        assert bound == pytest.approx(-10 * math.log(3), rel=1e-12)
 
     def test_single_power_gives_total_norm(self):
         s = synthetic_flat(1.0, 1.0, 20)
@@ -216,7 +214,7 @@ class TestCertification:
         first = NormSequence(dimension=1, max_degree=20, norm_kind="l2",
                              powers=seq.powers[:1], logs=seq.logs[:1])
         bound = coeff_bound_from_norms(first, 5)
-        assert bound.log_magnitude == pytest.approx(seq.log_norms()[0], rel=1e-12)
+        assert bound == pytest.approx(seq.log_norms()[0], rel=1e-12)
 
     def test_order_zero_rejected(self, ground_state):
         seq = norm_sequence(ground_state, 4, "l2")

@@ -492,6 +492,13 @@ CONTRACT = [
     ("envelope --radius -1 --n-max 2", 2),
     ("envelope --sigma -1 --n-max 5", 2),
     ("envelope --sigma 0 --n-max 5", 2),
+    ("envelope --sigma 1e308 --n-max 3", 2,
+     "error: N*sigma must be finite (got N = 2, sigma = 1e+308)"),
+    ("envelope --s 1e308 --n-max 2", 0),
+    ("envelope --s 1e308 --n-max 3", 2,
+     "error: OverflowError: log envelope at N = 3 is out of float range"),
+    ("envelope --target coeff --sigma 1e-308 --max-degree 8", 2,
+     "error: OverflowError: log envelope at k = 5 is out of float range"),
     ("norms --preset synthetic_flat:1,1e300,80", 2),
     ("norms --preset synthetic_flat:1,1,80 --norm linf --n-max 200", 0),
     ("norms --preset synthetic_flat:1,1,80 --norm lp:3 --n-max 200", 0),

@@ -18,19 +18,19 @@ class TestNormFlatEnvelope:
         # N=3, sigma=1, r=1: log E = 3 log 2 + 3 (1 - 1/log 3) log(6/log 3)
         expected = 3 * math.log(2) + 3 * (1 - 1 / math.log(3)) * math.log(6 / math.log(3))
         val = envelope_norm_flat(3, 1.0, 1.0)
-        assert val.log_magnitude == pytest.approx(expected, rel=1e-14)
-        assert val.to_float() == pytest.approx(12.64, rel=1e-3)
+        assert val == pytest.approx(expected, rel=1e-14)
+        assert math.exp(val) == pytest.approx(12.64, rel=1e-3)
 
     def test_radius_one_drops_radius_factor(self):
         for n, sigma in ((3, 1.0), (7, 0.7), (2, 2.0)):
-            full = envelope_norm_flat(n, sigma, 1.0).log_magnitude
+            full = envelope_norm_flat(n, sigma, 1.0)
             t = n * sigma
             lt = math.log(t)
             no_r = n * math.log(2) + n * (1 - 1 / lt) * math.log(2 * t / lt)
             assert full == pytest.approx(no_r, rel=1e-14)
 
     def test_strictly_increasing_in_radius(self):
-        vals = [envelope_norm_flat(5, 1.0, r).log_magnitude for r in (0.5, 1.0, 2.0, 4.0)]
+        vals = [envelope_norm_flat(5, 1.0, r) for r in (0.5, 1.0, 2.0, 4.0)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_domain_boundary_excluded(self):
@@ -40,50 +40,68 @@ class TestNormFlatEnvelope:
             envelope_norm_flat(1, math.e, 1.0)  # N sigma = e exactly
         envelope_norm_flat(3, 1.0, 1.0)  # N sigma = 3 > e is fine
 
+    def test_overflowing_n_sigma_refused(self):
+        # N sigma = inf would make 2t / log t = inf / inf a NaN
+        with pytest.raises(ValueError, match=r"N\*sigma must be finite \(got N = 2"):
+            envelope_norm_flat(2, 1e308, 1.0)
+
     def test_consistency_with_t_form(self):
         # sigma (log E - N log 2) equals the t-form core at t = N sigma
         for n, sigma, r in ((4, 1.0, 2.0), (9, 0.5, 0.3), (3, 2.0, 5.0)):
             t = n * sigma
-            lhs = sigma * (envelope_norm_flat(n, sigma, r).log_magnitude - n * math.log(2))
-            rhs = envelope_factor(r, t).log_magnitude
+            lhs = sigma * (envelope_norm_flat(n, sigma, r) - n * math.log(2))
+            rhs = envelope_factor(r, t)
             assert lhs == pytest.approx(rhs, abs=1e-12 * max(1, abs(rhs)))
 
 
 class TestCoefficientEnvelopes:
     def test_flat_trivial_cases(self):
-        assert envelope_coeff_flat((0,), 1.0, 1.0).to_float() == 1.0
-        assert envelope_coeff_flat((2, 1), 1.0, 1.0).to_float() == pytest.approx(2 ** -0.5, rel=1e-14)
+        assert math.exp(envelope_coeff_flat((0,), 1.0, 1.0)) == 1.0
+        assert math.exp(envelope_coeff_flat((2, 1), 1.0, 1.0)) == pytest.approx(2 ** -0.5, rel=1e-14)
 
     def test_flat_inverse_factorial(self):
         for k in (0, 3, 10):
-            val = envelope_coeff_flat((k,), 0.5, 2.0).to_float()
+            val = math.exp(envelope_coeff_flat((k,), 0.5, 2.0))
             assert val == pytest.approx(2**k / math.factorial(k), rel=1e-12)
 
     def test_s_scale_values(self):
-        assert envelope_coeff_s((0,), 1.0, 1.0).to_float() == 1.0
-        assert envelope_coeff_s((4,), 0.5, 1.0).to_float() == pytest.approx(math.exp(-4), rel=1e-14)
-        assert envelope_coeff_s((16,), 1.0, 2.0).to_float() == pytest.approx(math.exp(-8), rel=1e-14)
+        assert math.exp(envelope_coeff_s((0,), 1.0, 1.0)) == 1.0
+        assert math.exp(envelope_coeff_s((4,), 0.5, 1.0)) == pytest.approx(math.exp(-4), rel=1e-14)
+        assert math.exp(envelope_coeff_s((16,), 1.0, 2.0)) == pytest.approx(math.exp(-8), rel=1e-14)
+
+    def test_s_scale_at_huge_s(self):
+        # 2s overflows to inf here; e^{-r 0} = 1 still holds at k = 0
+        assert envelope_coeff_s((0,), 1e308, 1.0) == 0.0
+        assert envelope_coeff_s((3,), 1e308, 2.0) == -2.0
+        for s in (0.25, 0.5, 3.0, 1e300, 8e307):    # bits of 1 / (2s) where 2s is finite
+            assert envelope_coeff_s((7,), s, 1.5) == -1.5 * 7 ** (1.0 / (2.0 * s))
 
     def test_norm_s_values(self):
-        assert envelope_norm_s(0, 1.0, 5.0).to_float() == 1.0
-        assert envelope_norm_s(3, 0.5, 2.0).to_float() == pytest.approx(48.0, rel=1e-13)
-        assert envelope_norm_s(2, 1.0, 1.0).to_float() == pytest.approx(4.0, rel=1e-13)
+        assert math.exp(envelope_norm_s(0, 1.0, 5.0)) == 1.0
+        assert math.exp(envelope_norm_s(3, 0.5, 2.0)) == pytest.approx(48.0, rel=1e-13)
+        assert math.exp(envelope_norm_s(2, 1.0, 1.0)) == pytest.approx(4.0, rel=1e-13)
+
+    def test_norm_s_at_huge_s(self):
+        # N = 1: (1!)^{2s} = 1 for every s, so no inf * 0 NaN from 2s = inf
+        assert envelope_norm_s(1, 1e308, 2.0) == math.log(2.0)
+        for s in (0.5, 3.0, 8e307):    # bits of 2s * lgamma where 2s is finite
+            assert envelope_norm_s(2, s, 1.5) == 2 * math.log(1.5) + 2.0 * s * math.lgamma(3)
 
 
 class TestFactorRatios:
     def test_radius_ratio_degenerate_cases(self):
-        assert radius_factor_ratio(1.0, 5.0, 9.0).to_float() == 1.0
-        assert radius_factor_ratio(7.3, 4.2, 4.2).to_float() == 1.0
+        assert math.exp(radius_factor_ratio(1.0, 5.0, 9.0)) == 1.0
+        assert math.exp(radius_factor_ratio(7.3, 4.2, 4.2)) == 1.0
 
     def test_radius_ratio_direct(self):
         expected = 2.0 ** (11 / math.log(11) - 10 / math.log(10))
-        assert radius_factor_ratio(2.0, 10.0, 11.0).to_float() == pytest.approx(expected, rel=1e-13)
+        assert math.exp(radius_factor_ratio(2.0, 10.0, 11.0)) == pytest.approx(expected, rel=1e-13)
 
     def test_amplitude_ratio_symmetry(self):
         up = amplitude_factor_ratio(10.0, 12.0)
         down = amplitude_factor_ratio(12.0, 10.0)
-        assert up.to_float() > 1.0
-        assert math.exp(up.log_magnitude + down.log_magnitude) == pytest.approx(1.0, rel=1e-14)
+        assert math.exp(up) > 1.0
+        assert math.exp(up + down) == pytest.approx(1.0, rel=1e-14)
 
     def test_domain_guard(self):
         with pytest.raises(ValueError):
@@ -93,19 +111,19 @@ class TestFactorRatios:
 
     def test_product_telescopes_to_factor_ratio(self):
         for r, t1, t2 in ((0.3, 4.0, 7.0), (2.5, 10.0, 10.5), (1.0, 5.0, 5.0)):
-            lhs = (radius_factor_ratio(r, t1, t2).log_magnitude
-                   + amplitude_factor_ratio(t1, t2).log_magnitude)
-            rhs = envelope_factor(r, t2).log_magnitude - envelope_factor(r, t1).log_magnitude
+            lhs = (radius_factor_ratio(r, t1, t2)
+                   + amplitude_factor_ratio(t1, t2))
+            rhs = envelope_factor(r, t2) - envelope_factor(r, t1)
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
 class TestEnvelopeFactor:
     def test_log_t_equals_two_simplification(self):
         val = envelope_factor(1.0, E**2)
-        assert val.log_magnitude == pytest.approx(E**2, rel=1e-14)
+        assert val == pytest.approx(E**2, rel=1e-14)
 
     def test_monotone_sample(self):
-        assert envelope_factor(4.0, 20.0).log_magnitude <= envelope_factor(4.0, 20.5).log_magnitude
+        assert envelope_factor(4.0, 20.0) <= envelope_factor(4.0, 20.5)
 
     def test_t_over_log_t_increasing(self):
         ts = np.linspace(E + 1e-6, 500, 400)
@@ -115,19 +133,19 @@ class TestEnvelopeFactor:
 
 class TestPeakTerm:
     def test_boundary_values(self):
-        assert peak_term(1.0, 0.5, 0.0).to_float() == pytest.approx(2 * 0.5 * E, rel=1e-14)
+        assert math.exp(peak_term(1.0, 0.5, 0.0)) == pytest.approx(2 * 0.5 * E, rel=1e-14)
         # s = 2re with t = 0 collapses to 1
-        assert peak_term(2 * 1.5 * E, 1.5, 0.0).to_float() == pytest.approx(1.0, rel=1e-12)
+        assert math.exp(peak_term(2 * 1.5 * E, 1.5, 0.0)) == pytest.approx(1.0, rel=1e-12)
 
     def test_cancellation_point(self):
-        assert peak_term(E, 0.5, 1.0).to_float() == pytest.approx(E**2, rel=1e-13)
+        assert math.exp(peak_term(E, 0.5, 1.0)) == pytest.approx(E**2, rel=1e-13)
 
 
 class TestCheckSuites:
     def test_factor_ratios_default(self):
         rep = check_factor_ratios_bounded(1.0)
         assert rep.passed
-        assert math.isfinite(rep.fitted_constant.log_magnitude)
+        assert math.isfinite(rep.fitted_constant)
 
     def test_factor_ratios_radius_one_gives_unit_g(self):
         # with the r-grid pinned at 1 the radius-ratio part is exactly 1
@@ -167,7 +185,7 @@ class TestCheckSuites:
 
     def test_peak_term_boundary_grid(self):
         rep = check_peak_term_bounded(1e-4, t_grid=(E**2,))
-        assert math.isfinite(rep.max_ratio.log_magnitude)
+        assert math.isfinite(rep.max_ratio)
 
     def test_report_json_roundtrip(self):
         import json
@@ -184,8 +202,8 @@ class TestInfimum:
     def test_continuum_below_discrete(self):
         for s in (10.0, 55.0, 300.0):
             for r1 in (0.5, 1.0, 2.0):
-                d1 = infimum_coeff_bound(s, r1, 1.0, domain=1).log_magnitude
-                d2 = infimum_coeff_bound(s, r1, 1.0, domain=2).log_magnitude
+                d1 = infimum_coeff_bound(s, r1, 1.0, domain=1)
+                d2 = infimum_coeff_bound(s, r1, 1.0, domain=2)
                 assert d2 <= d1 + 1e-9
 
     def test_degenerate_single_point_matches_summand(self):
@@ -195,7 +213,7 @@ class TestInfimum:
         t = 3.0
         summand = (-t * math.log(10.0)
                    + t * (1 - 1 / math.log(t)) * math.log(2 * t / math.log(t)))
-        assert val.log_magnitude <= summand + 1e-12
+        assert val <= summand + 1e-12
 
 
 def test_check_reports_are_deterministic():
@@ -262,7 +280,7 @@ class TestInfimumOracle:
             t_star = self.minimizer(mpmath, s, r1)
             expected = float(self.summand(mpmath, t_star, s, r1))
         for sigma in (1.0, 3.0):
-            got = infimum_coeff_bound(s, r1, sigma, domain=2).log_magnitude
+            got = infimum_coeff_bound(s, r1, sigma, domain=2)
             assert abs(got - expected) <= 1e-9
 
     @pytest.mark.parametrize("s", S_VALUES)
@@ -276,7 +294,7 @@ class TestInfimumOracle:
             ns = range(max(n0, math.floor(n_star) - 2), math.ceil(n_star) + 3)
             expected = float(min(self.summand(mpmath, mpmath.mpf(n) * sigma, s, r1)
                                  for n in ns))
-        got = infimum_coeff_bound(s, r1, sigma, domain=1).log_magnitude
+        got = infimum_coeff_bound(s, r1, sigma, domain=1)
         assert abs(got - expected) <= 1e-9
 
     @pytest.mark.parametrize("s,r1", BOUNDARY)
@@ -287,14 +305,14 @@ class TestInfimumOracle:
             assert t_star < mpmath.exp(1.25)
             expected = float(self.summand(mpmath, t_star, s, r1))
             at_e = float(self.summand(mpmath, mpmath.e, s, r1))
-        got = infimum_coeff_bound(s, r1, 1.0, domain=2).log_magnitude
+        got = infimum_coeff_bound(s, r1, 1.0, domain=2)
         assert abs(got - expected) <= 1e-9
         assert got < at_e - 0.05
         # the discrete minimum sits on the first admissible point, N sigma = 3
         with mpmath.workdps(50):
             first = float(self.summand(mpmath, mpmath.mpf(3), s, r1))
         for sigma in (1.0, 3.0):
-            d1 = infimum_coeff_bound(s, r1, sigma, domain=1).log_magnitude
+            d1 = infimum_coeff_bound(s, r1, sigma, domain=1)
             assert abs(d1 - first) <= 1e-9
             assert got <= d1
 
@@ -462,8 +480,8 @@ class TestEnvelopeFormulasOracle:
                             continue
                         terms = closed_form(mpmath, n, p, r)
                         got = formula(n, p, r)
-                        assert got.sign == 1
-                        err = abs(mpmath.mpf(got.log_magnitude) - sum(terms))
+                        assert got > -math.inf
+                        err = abs(mpmath.mpf(got) - sum(terms))
                         assert err <= self.TOL * sum(abs(t) for t in terms), (n, p, r)
                         checked += 1
         assert checked >= 33  # norm_flat skips N sigma <= e: 12 of the 45 cases
@@ -487,8 +505,8 @@ def _monotone_pointwise(sigma, t_max, nt, t_min, r_up=(1.0, 2.0, 10.0),
             if s0 == 0.0 and r_right == r:
                 continue
             shift = s0 if left_at_t_plus_s0 else 0.0
-            diffs = np.array([envelope_factor(r, t + shift).log_magnitude
-                              - envelope_factor(r_right, t + s0).log_magnitude for t in ts])
+            diffs = np.array([envelope_factor(r, t + shift)
+                              - envelope_factor(r_right, t + s0) for t in ts])
             i = int(np.argmax(diffs))
             if diffs[i] > worst:
                 worst = float(diffs[i])
@@ -527,7 +545,7 @@ class TestSuitesMatchPointwiseEvaluation:
         assert tl.tobytes() == np.array([t / math.log(t) for t in ts.tolist()]).tobytes()
         for r in (0.05, 1.0, 7.0):
             got = amp[::100] + tl[::100] * math.log(r)
-            want = [envelope_factor(r, t).log_magnitude for t in ts[::100].tolist()]
+            want = [envelope_factor(r, t) for t in ts[::100].tolist()]
             assert got.tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("r", [1e-3, 0.2, 2.0, 50.0])

@@ -1,12 +1,13 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from hgl import HermiteSeries, LogScalar, Preset, build_preset, finite_random, synthetic_flat
-from hgl.io import (InputFormatError, load_samples_csv, load_series, save_json_report,
-                    save_norm_sequence_csv, save_series)
+from hgl import HermiteSeries, Preset, build_preset, finite_random, synthetic_flat
+from hgl.io import (InputFormatError, json_value, load_samples_csv, load_series, log_field,
+                    report_json, save_json_report, save_norm_sequence_csv, save_series)
 from hgl.spectral import norm_sequence
 
 
@@ -28,6 +29,12 @@ class TestPresets:
         assert s.dimension == 2
         assert s.coefficient((2, 1)) == 1.0
         assert len(s) == 1
+
+    def test_synthetic_s_at_huge_s(self):
+        # 2s overflows to inf here; c_0 = e^{-r 0} = 1 still holds
+        s = build_preset(Preset.parse("synthetic_s:1e308,1,3"), 1, 3)
+        assert s.coefficient((0,)) == 1.0
+        assert s.coefficient((3,)) == math.exp(-1.0)
 
     def test_synthetic_flat_generator(self):
         s = synthetic_flat(1.0, 2.0, 10)
@@ -118,9 +125,27 @@ def test_norm_sequence_csv_format(tmp_path):
     float(log_norm)
 
 
+@dataclasses.dataclass(frozen=True)
+class Ratios:
+    ratio: float = log_field()
+    bound: float | None = log_field(default=None)
+    drift: float = math.nan
+
+
+def test_log_field_pair():
+    assert json_value(Ratios(math.log(2))) == {
+        "ratio": {"sign": 1, "log": math.log(2)}, "bound": None, "drift": None}
+    assert json_value(Ratios(-math.inf, bound=np.float64(-0.5)))["bound"] == {"sign": 1, "log": -0.5}
+    assert json_value(Ratios(-math.inf))["ratio"] == {"sign": 0, "log": None}
+    assert json_value(Ratios(math.inf))["ratio"] == {"sign": 1, "log": None}
+    for write in (json_value, report_json):
+        with pytest.raises(ValueError, match="log field ratio must not be NaN"):
+            write([Ratios(math.nan)])
+
+
 def test_json_report_is_strict(tmp_path):
     path = tmp_path / "report.json"
-    save_json_report({"ratio": LogScalar.from_log(2.5), "zero": LogScalar.zero(),
+    save_json_report({"ratios": Ratios(2.5, bound=-math.inf),
                       "values": np.array([1.0, np.nan, -np.inf]), "count": np.int64(3),
                       "fit": (np.float64(np.inf), 0.5)}, path)
 
@@ -128,5 +153,6 @@ def test_json_report_is_strict(tmp_path):
         raise ValueError(f"non-standard JSON constant {token}")
 
     assert json.loads(path.read_text(), parse_constant=refuse) == {
-        "ratio": {"sign": 1, "log": 2.5}, "zero": {"sign": 0, "log": None},
+        "ratios": {"ratio": {"sign": 1, "log": 2.5}, "bound": {"sign": 0, "log": None},
+                   "drift": None},
         "values": [1.0, None, None], "count": 3, "fit": [None, 0.5]}

@@ -4,8 +4,8 @@
 allow_nan=False) + "\\n"`` for ``v`` the plain value of ``p`` under the
 report rules, with a two-walk converter kept here as the oracle.  Payloads
 are drawn as nested dicts (str and float keys), lists, tuples, numpy arrays
-and scalars, LogScalar values, infinities, NaN and non-ASCII text; the five
-report dataclasses are written from their fields.
+and scalars, dataclasses with and without a log field, infinities, NaN and
+non-ASCII text; the five report dataclasses are written from their fields.
 """
 
 import dataclasses
@@ -22,11 +22,29 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from hgl import (HermiteSeries, MixedNormParams, Weight, check_factor_ratios_bounded,  # noqa: E402
                  classify, cross_validate, fit_flat_sigma, norm_equiv_harness, shell_profile,
                  synthetic_flat)
-from hgl.classify import GAUGE_NOTE  # noqa: E402
-from hgl.io import json_value, report_json, series_json, series_to_json_dict  # noqa: E402
-from hgl.logscalar import LogScalar  # noqa: E402
+from hgl.classify import GAUGE_NOTE, EnvelopeFit, GrowthClass  # noqa: E402
+from hgl.envelopes import BoundCheckReport  # noqa: E402
+from hgl.io import json_value, log_field, report_json, series_json, series_to_json_dict  # noqa: E402
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+@dataclasses.dataclass(frozen=True)
+class Logged:
+    log: float | None = log_field()
+    note: object = None
+
+
+# the log fields of each dataclass, named here rather than read from the marks
+LOG_FIELDS = {Logged: {"log"}, EnvelopeFit: {"radius"}, GrowthClass: {"radius"},
+              BoundCheckReport: {"max_ratio", "fitted_constant"}}
+
+
+def oracle_log(log):
+    """A log as its {"sign", "log"} pair: the log of zero is -inf."""
+    if log is None:
+        return None
+    return {"sign": 0 if log == -math.inf else 1, "log": log}
 
 
 def oracle_value(obj):
@@ -37,10 +55,10 @@ def oracle_value(obj):
         return {k: oracle_value(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [oracle_value(v) for v in obj]
-    if isinstance(obj, LogScalar):
-        return oracle_value({"sign": obj.sign, "log": obj.log_magnitude if obj.sign else None})
     if dataclasses.is_dataclass(obj):
-        return oracle_value({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)})
+        logs = LOG_FIELDS.get(type(obj), ())
+        return oracle_value({f.name: oracle_log(getattr(obj, f.name)) if f.name in logs
+                             else getattr(obj, f.name) for f in dataclasses.fields(obj)})
     if isinstance(obj, (np.ndarray, np.generic)):
         return oracle_value(obj.tolist())
     return obj
@@ -54,16 +72,14 @@ FLOATS = st.one_of(st.floats(), st.sampled_from([math.inf, -math.inf, math.nan, 
                                                  1.7976931348623157e308, 1e16, 0.1]))
 TEXT = st.text(alphabet=st.characters(codec="utf-8"), max_size=10) | st.sampled_from(
     ['q"uo\\te', "éσ∈\U0001d4d7", "\x01\x1f\x7f", "line\nbreak\ttab", ""])
-LOGSCALARS = st.one_of(st.just(LogScalar.zero()),
-                       st.builds(LogScalar.from_log,
-                                 st.floats(allow_nan=False, min_value=-1e300, max_value=1e300),
-                                 st.sampled_from([1, -1])))
+LOGS = st.one_of(st.none(), st.floats(allow_nan=False),
+                 st.sampled_from([-math.inf, math.inf, -0.0, 0.0]))
 NUMPY_SCALARS = st.one_of(FLOATS.map(np.float64), st.integers(-2**63, 2**63 - 1).map(np.int64),
                           st.booleans().map(np.bool_), st.floats(width=32).map(np.float32))
 ARRAYS = st.one_of(st.lists(FLOATS, max_size=6).map(lambda v: np.array(v, dtype=float)),
                    st.lists(st.integers(-1000, 1000), max_size=6).map(np.array),
                    st.lists(FLOATS, min_size=4, max_size=4).map(lambda v: np.array(v).reshape(2, 2)))
-LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), FLOATS, TEXT, LOGSCALARS,
+LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), FLOATS, TEXT,
                    NUMPY_SCALARS, ARRAYS)
 KEYS = st.one_of(TEXT, st.floats(allow_nan=False, allow_infinity=False))
 
@@ -79,7 +95,8 @@ PAYLOADS = st.recursive(
     lambda inner: st.one_of(st.lists(inner, max_size=4),
                             st.lists(inner, max_size=4).map(tuple),
                             st.dictionaries(KEYS, inner, max_size=4),
-                            st.builds(Pair, inner, inner)),
+                            st.builds(Pair, inner, inner),
+                            st.builds(Logged, LOGS, inner)),
     max_leaves=25)
 
 
@@ -88,10 +105,10 @@ PAYLOADS = st.recursive(
 @example({})
 @example([])
 @example({"a": {}, "b": [], "c": [{}, [], ()], "": {"": []}})
-@example({"radius": LogScalar.from_log(-math.inf), "log": LogScalar.from_log(2.5, -1),
+@example({"radius": Logged(-math.inf), "log": Logged(2.5, math.inf), "top": Logged(math.inf),
           "drift": math.nan, "t": np.float64(math.inf), "rows": np.array([1.0, math.nan])})
 @example({1.5: "float key", -0.0: [], 1e300: {"nested": (1, 2.0, "σ")}})
-@example(Pair(Pair(LogScalar.zero()), [Pair(math.nan, np.arange(2))]))
+@example(Pair(Pair(Logged(-math.inf)), [Pair(math.nan, np.arange(2)), Logged(None)]))
 def test_report_json_matches_the_two_walks(payload):
     assert report_json(payload) == oracle_text(payload)
     # the rules leave no NaN in a plain value, so == compares it fully
