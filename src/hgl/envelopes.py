@@ -105,7 +105,10 @@ def envelope_coeff_s(alpha, s: float, r: float) -> float:
         raise ValueError("s and r must be positive")
     idx = alpha if isinstance(alpha, MultiIndex) else MultiIndex(alpha)
     # 0.5 / s, not 1 / (2 s): 2s overflows for s > 9e307, and 0 ** 0 is 1
-    return -r * idx.order ** (0.5 / s)
+    try:
+        return -r * idx.order ** (0.5 / s)
+    except OverflowError:   # k^{1/(2s)} past the float range
+        return -math.inf
 
 
 def envelope_norm_s(N: int, s: float, r: float) -> float:

@@ -26,12 +26,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .classify import EnvelopeFit, fit_radius_from_norms
 from .series import HermiteSeries
-from .spectral import (GridSpec, NormSequence, _grid_log_norms, _power_range,
-                       _powered_blocks, turning_point_extent)
+from .spectral import (GridSpec, NormSequence, _grid_log_norms, _logsumexp,
+                       _power_range, _powered_blocks, turning_point_extent)
 
 __all__ = ["Weight", "StftGrid", "StftField", "MixedNormParams", "stft",
            "modulation_norm", "norm_sequence_mod", "norm_equiv_harness",
@@ -276,14 +276,14 @@ def modulation_norm(fld: StftField, params: MixedNormParams) -> float:
     if params.p == math.inf:
         inner = np.max(log_f, axis=x_axes)
     else:
-        inner = (logsumexp(params.p * log_f, axis=x_axes) + log_dx) / params.p
+        inner = (_logsumexp(params.p * log_f, axis=x_axes) + log_dx) / params.p
     if params.q == math.inf:
         out = float(np.max(inner))
     else:
         finite = inner[np.isfinite(inner)]
         if finite.size == 0:
             return -math.inf
-        out = float((logsumexp(params.q * finite) + log_dxi) / params.q)
+        out = float((_logsumexp(params.q * finite) + log_dxi) / params.q)
     return out
 
 

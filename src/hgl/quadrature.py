@@ -9,10 +9,10 @@ has exactly the squares of the positive nodes as eigenvalues:
     diagonal      (2i+1)/2 for odd rows i of J, except (n-1)/2 in row n-1
     off-diagonal  sqrt((i+1)(i+2))/2
 
-So one eigenproblem of half the size gives the positive half, Newton steps on
-the orthonormal recurrence polish it (odd n adds the exact root x = 0), and
-the negative half is its mirror image, which makes every rule exactly
-symmetric.
+So one eigenproblem of half the size gives the positive half, one Newton
+pass over the orthonormal recurrence polishes it to float resolution (odd n
+adds the exact root x = 0), and the negative half is its mirror image, which
+makes every rule exactly symmetric.
 
 Weights come from the Christoffel-Darboux identity: at a root of h_n,
 sum_{k<n} h_k(x)^2 = n h_{n-1}(x)^2, so
@@ -106,9 +106,15 @@ def _polish(n: int, x: np.ndarray):
     log|h_{n-1}| at each polished root.
 
     The step is u_n / (sqrt(2n) u_{n-1}) where u follows the normalized
-    recurrence; the common scale factor cancels in the ratio.  Each pass runs
-    the recurrence on the roots still moving.  A root's h_{n-1} comes from
-    its last pass and is carried across that pass's step to first order, with
+    recurrence; the common scale factor cancels in the ratio.  It is Newton's
+    step H_n / H_n' on the polynomial, and H_n'' = 2x H_n' at a root, so the
+    error left after a step is about |x| step^2 <= sqrt(2n) step^2 (every
+    root has |x| < sqrt(2n)).  A root is accepted once that bound is at most
+    2^-53 max(1, |x|), under one ulp of max(1, |x|).  From the eigenvalue
+    starts the first steps are below 2e-12 max(1, |x|), so every order takes
+    one pass.  Each pass runs the recurrence on the roots still moving.  A
+    root's h_{n-1} comes from its last pass and is carried across that
+    pass's step to first order, with
     h'_{n-1} = x h_{n-1} - sqrt(2n) h_n (the ladder relation, h_{n-2} taken
     from the recurrence).
     """
@@ -124,7 +130,7 @@ def _polish(n: int, x: np.ndarray):
             step = u_last / (root_2n * u_prev)
         step = np.where(np.isfinite(step), step, 0.0)
         x[active] = xa - step
-        moving = np.abs(step) > 1e-15 * np.maximum(1.0, np.abs(x[active]))
+        moving = root_2n * step * step > 2.0**-53 * np.maximum(1.0, np.abs(x[active]))
         done = ~moving
         d = step[done]
         log_h[active[done]] = (log_scale[done] + np.log(np.abs(u_prev[done]))

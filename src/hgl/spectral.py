@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .hermite import hermite_derivative_rows, hermite_matrix
 from .series import HermiteSeries, MultiIndex
@@ -129,6 +128,26 @@ def l2_norm(series: HermiteSeries) -> float:
     return float(_l2_log_norms_powered(series, np.zeros(1))[0])
 
 
+def _logsumexp(a, axis=None):
+    """log(sum(exp(a))) over ``axis`` for real ``a``, bit for bit as
+    ``scipy.special.logsumexp`` without its array-API dispatch: the maxima
+    are split out of the sum (Blanchard, Higham & Higham, IMA J. Numer. Anal.
+    41(4), 2021), and the direct sum decides only where that is not finite
+    (an all -inf slice, a +inf entry)."""
+    a = np.asarray(a, dtype=float)
+    axis = tuple(range(a.ndim)) if axis is None else axis
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        top = np.max(a, axis=axis, keepdims=True)
+        at_top = a == top
+        ties = np.sum(at_top, axis=axis, keepdims=True, dtype=float)
+        rest = np.sum(np.exp(np.where(at_top, -np.inf, a) - top), axis=axis, keepdims=True)
+        out = np.log1p(rest / ties) + np.log(ties) + top
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = np.log(np.sum(np.exp(a), axis=axis, keepdims=True))[bad]
+    return np.squeeze(out, axis=axis)[()]
+
+
 def _l2_log_norms_powered(series: HermiteSeries, powers: np.ndarray) -> np.ndarray:
     """log ||H^N f||_{L2} for each N in ``powers``, without float round trips."""
     logs, eigs, _ = _log_coeff_arrays(series)
@@ -136,7 +155,7 @@ def _l2_log_norms_powered(series: HermiteSeries, powers: np.ndarray) -> np.ndarr
         return np.full(powers.shape, -math.inf)
     # (nN, ncoef): 2 log|c| + 2N log(2|alpha|+d)
     mat = 2.0 * logs[None, :] + 2.0 * np.asarray(powers, dtype=float)[:, None] * eigs[None, :]
-    return 0.5 * logsumexp(mat, axis=1)
+    return 0.5 * _logsumexp(mat, axis=1)
 
 
 def _powered_blocks(series: HermiteSeries, powers):
@@ -226,7 +245,7 @@ def _grid_log_norms(series: HermiteSeries, powers, p: float, grid: GridSpec) -> 
         if not finite.any():
             out.append(-math.inf)
             continue
-        out.append(top + logsumexp(log_cell[finite] + p * log_abs[finite]) / p)
+        out.append(top + _logsumexp(log_cell[finite] + p * log_abs[finite]) / p)
     return np.array(out)
 
 

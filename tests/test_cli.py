@@ -487,7 +487,8 @@ CONTRACT = [
     ("envelope --sigma 1 --n-max 40", 0),
     ("envelope --s 0.5 --n-max 10 --format json", 0),
     ("envelope --target coeff --sigma 2 --radius 3 --max-degree 8 --format json", 0),
-    ("envelope --target coeff --s 1e-300 --max-degree 5", 2),
+    ("envelope --target coeff --s 1e-300 --max-degree 5", 2,
+     "error: OverflowError: log envelope at k = 2 is out of float range"),
     ("envelope --radius -1", 2),
     ("envelope --radius -1 --n-max 2", 2),
     ("envelope --sigma -1 --n-max 5", 2),

@@ -142,6 +142,29 @@ def test_rule_bits_match_reference_kernel(n, monkeypatch):
         assert getattr(rule, name).tobytes() == getattr(want, name).tobytes(), name
 
 
+def test_every_rule_takes_one_newton_pass(monkeypatch):
+    # one recurrence pass per build, and the root accepted there is already
+    # within half an ulp of where the next step would move it
+    import hgl.quadrature as quad
+    real, passes = quad._recurrence, []
+
+    def counted(kmax, x):
+        for item in real(kmax, x):
+            yield item
+        passes.append((x.copy(), item[0].copy(), item[1].copy()))
+
+    monkeypatch.setattr(quad, "_recurrence", counted)
+    for n in [*range(1, 401), 799, 800, 1999, 2000]:
+        passes.clear()
+        quad.gauss_hermite_rule.__wrapped__(n)
+        assert len(passes) == 1, n
+        x, u_last, u_prev = passes[0]
+        root_2n = math.sqrt(2.0 * n)
+        step = u_last / (root_2n * u_prev)
+        bound = 2.0**-53 * np.maximum(1.0, np.abs(x - step))
+        assert np.all(root_2n * step * step <= bound), n
+
+
 def test_nonconvergence_error_names_index(monkeypatch):
     import hgl.quadrature as quad
     monkeypatch.setattr(quad, "_NEWTON_MAX_ITER", 0)

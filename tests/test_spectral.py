@@ -309,3 +309,34 @@ class TestParsevalConsistency:
         logs = seq.log_norms()
         # eigenvalues are at least d = 2
         assert np.all(np.diff(logs) >= math.log(2.0) - 1e-12)
+
+
+def test_logsumexp_bits_match_scipy():
+    # scipy's logsumexp is the independent oracle: same float steps, so the
+    # same bytes, at ties, -inf entries, all -inf slices and +inf
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+    from hypothesis.extra.numpy import array_shapes, arrays
+    from scipy.special import logsumexp
+    from hgl.spectral import _logsumexp
+
+    values = st.one_of(st.floats(-800.0, 800.0), st.sampled_from([-math.inf, 0.0, 1.5]))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(arrays(float, array_shapes(min_dims=1, max_dims=4, max_side=5), elements=values),
+           st.data())
+    def check(a, data):
+        if data.draw(st.booleans()):
+            a[(0,) * a.ndim] = data.draw(st.sampled_from([-math.inf, math.inf]))
+        if data.draw(st.booleans()):
+            a[0] = -math.inf        # all -inf slices along the later axes
+        axes = [None, *range(a.ndim), -1]
+        if a.ndim >= 2:
+            axes += [(0, 1), tuple(range(a.ndim))]     # (0, 1): modulation's d = 2
+        axis = data.draw(st.sampled_from(axes))
+        got, want = _logsumexp(a, axis=axis), logsumexp(a, axis=axis)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    check()
