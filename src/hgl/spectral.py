@@ -129,12 +129,11 @@ def l2_norm(series: HermiteSeries) -> float:
 
 
 def _logsumexp(a, axis=None):
-    """log(sum(exp(a))) over ``axis`` for real ``a``, bit for bit as
+    """log(sum(exp(a))) over ``axis`` of a real array, bit for bit as
     ``scipy.special.logsumexp`` without its array-API dispatch: the maxima
     are split out of the sum (Blanchard, Higham & Higham, IMA J. Numer. Anal.
     41(4), 2021), and the direct sum decides only where that is not finite
     (an all -inf slice, a +inf entry)."""
-    a = np.asarray(a, dtype=float)
     axis = tuple(range(a.ndim)) if axis is None else axis
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         top = np.max(a, axis=axis, keepdims=True)
