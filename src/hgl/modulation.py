@@ -9,8 +9,12 @@ form (Bargmann, CPAM 14, 1961), with z = (x + i xi)/sqrt(2):
 
     V h_k(x, xi) = exp(-i x xi/2) zbar^k / sqrt(k!) exp(-|z|^2/2).
 
-The basis fields are built once per grid by F_k = F_{k-1} zbar/sqrt(k), and
-the transform of a coefficient vector is one contraction with them.
+Every weight depends on |x|^2 + |xi|^2 = 2|z|^2 only, so the angular
+integrals make the (2,2) norm diagonal in the shell energies S_k (Groechenig,
+Foundations of Time-Frequency Analysis, 2001, 3.2): ||w V f||^2 = sum_k S_k
+m_k(w) with m_k(w) = E[w(2T)^2], T ~ Gamma(k + d).  So (2,2) needs no grid,
+in any dimension.  The other (p, q) sample the transform on a grid, d <= 2,
+whose basis fields are built once by F_k = F_{k-1} zbar/sqrt(k).
 
 Mixed norms take the inner ell^p over the spatial axes (cell volume dx^d)
 and the outer ell^q over the frequency axes with cell volume (dxi/(2 pi))^d;
@@ -26,12 +30,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import expn, gammaln
 
 from .classify import EnvelopeFit, fit_radius_from_norms
 from .series import HermiteSeries
-from .spectral import (GridSpec, NormSequence, _grid_log_norms, _logsumexp,
-                       _power_range, _powered_blocks, turning_point_extent)
+from .spectral import (GridSpec, NormSequence, _grid_log_norms, _l2_log_norms_powered,
+                       _logsumexp, _power_range, _powered_blocks, turning_point_extent)
 
 __all__ = ["Weight", "StftGrid", "StftField", "MixedNormParams", "stft",
            "modulation_norm", "norm_sequence_mod", "norm_equiv_harness",
@@ -39,6 +43,7 @@ __all__ = ["Weight", "StftGrid", "StftField", "MixedNormParams", "stft",
 
 _MAX_FIELD_ENTRIES = 1 << 24
 _LOG_START_FLOOR = -600.0   # exp(-|z|^2/2) is a normal float above this log
+_RECIPROCAL_MAX_N, _RECIPROCAL_MAX_SHAPE = 5, 500   # where mpmath certifies 1/vN moments
 
 
 class StftGridError(ValueError):
@@ -83,6 +88,31 @@ class Weight:
             return np.zeros_like(radial_sq)
         body = self.N * np.log1p(radial_sq)
         return body if self.kind == "polynomial" else -body
+
+    def log_moments(self, kmax: int, d: int) -> np.ndarray | None:
+        """log m_k = log E[w(2T)^2], T ~ Gamma(k + d), k = 0..kmax: the factor of
+        shell k in the squared (2,2) norm; None where it is not certified."""
+        a = np.arange(d, kmax + d + 1, dtype=float)
+        m = 2 * self.N
+        if self.kind == "constant":
+            return np.zeros(a.size)
+        if self.kind == "polynomial":
+            # E(1 + 2T)^m = sum_j C(m, j) 2^j (a)_j, the rising factorial as a sum of logs
+            j = np.arange(m + 1)
+            log_rising = np.zeros((a.size, m + 1))
+            np.cumsum(np.log(a[:, None] + j[:-1]), axis=1, out=log_rising[:, 1:])
+            log_c = np.array([math.log(math.comb(m, i)) for i in j]) + j * math.log(2.0)
+            return _logsumexp(log_c + log_rising, axis=1)
+        if self.N > _RECIPROCAL_MAX_N or kmax + d > _RECIPROCAL_MAX_SHAPE:
+            return None
+        # F_j(s) = E(1 + 2T)^-j, T ~ Gamma(s): F_j(s + 1) = (F_{j-1}(s) - F_j(s)) / (2s)
+        # (integrate by parts), from F_0 = 1 and F_j(1) = e^(1/2) E_j(1/2) / 2
+        F = np.concatenate(([1.0], 0.5 * math.exp(0.5) * expn(np.arange(1, m + 1), 0.5)))
+        out = []
+        for s in range(1, kmax + d + 1):
+            out.append(F[m])
+            F[1:] = (F[:-1] - F[1:]) / (2.0 * s)
+        return np.log(out[d - 1:])
 
     def moderation_constant(self, n_samples: int = 10_000, box: float = 20.0,
                             seed: int = 7) -> float:
@@ -235,8 +265,14 @@ def _checked_axes(series: HermiteSeries, grid: StftGrid):
     d = series.dimension
     if (x.size * xi.size) ** d > _MAX_FIELD_ENTRIES:
         raise StftGridError(
-            f"field would hold {(x.size * xi.size) ** d} entries; coarsen the grid")
+            f"field would hold {(x.size * xi.size) ** d} entries; in d >= 2 only "
+            f"mod:2,2 norms run (weight const, vN, or 1/vN with N <= 5)")
     return x, xi
+
+
+def _radial_sq(x: np.ndarray, xi: np.ndarray, d: int) -> np.ndarray:
+    """|x|^2 + |xi|^2 on the grid, axes (x_1..x_d, xi_1..xi_d)."""
+    return sum(np.ix_(*[x ** 2] * d, *[xi ** 2] * d))
 
 
 def stft(series: HermiteSeries, grid: StftGrid | None = None) -> StftField:
@@ -257,22 +293,20 @@ def modulation_norm(fld: StftField, params: MixedNormParams) -> float:
     Inner ell^p over the spatial axes, outer ell^q over the frequency axes;
     p or q = inf take sups.  Computed in the log domain.
     """
-    d = fld.dimension
-    vals = np.abs(fld.values)
-    x, xi = fld.x_axis, fld.xi_axis
-    if d == 1:
-        radial = x[:, None] ** 2 + xi[None, :] ** 2
-    else:
-        radial = (x[:, None, None, None] ** 2 + x[None, :, None, None] ** 2
-                  + xi[None, None, :, None] ** 2 + xi[None, None, None, :] ** 2)
     with np.errstate(divide="ignore"):
-        log_f = np.log(vals) + params.weight.log_on(radial)
+        log_f = (np.log(np.abs(fld.values))
+                 + params.weight.log_on(_radial_sq(fld.x_axis, fld.xi_axis, fld.dimension)))
+    return _mixed_log_norm(log_f, params, fld.grid)
+
+
+def _mixed_log_norm(log_f: np.ndarray, params: MixedNormParams, grid: StftGrid) -> float:
+    """``modulation_norm`` of the weighted log modulus log|V| + log w."""
+    d = log_f.ndim // 2
     if not np.any(np.isfinite(log_f)):
         return -math.inf
     x_axes = tuple(range(d))
-    f_axes = tuple(range(d, 2 * d))
-    log_dx = d * math.log(fld.grid.spatial_step)
-    log_dxi = d * (math.log(fld.grid.freq_step) - math.log(2.0 * math.pi))
+    log_dx = d * math.log(grid.spatial_step)
+    log_dxi = d * (math.log(grid.freq_step) - math.log(2.0 * math.pi))
     if params.p == math.inf:
         inner = np.max(log_f, axis=x_axes)
     else:
@@ -290,30 +324,40 @@ def modulation_norm(fld: StftField, params: MixedNormParams) -> float:
 def _mod_log_norms(series: HermiteSeries, powers, params_list, grid: StftGrid) -> np.ndarray:
     """log modulation norms of H^N f, shape (len(params_list), len(powers)).
 
-    The closed-form basis fields are built once; each power transforms its
-    log-scaled coefficients (see ``spectral._powered_blocks``) and adds the
-    scale back in log space, so any power is admitted.
+    The closed-form basis fields and each weight's logs are built once per
+    grid; each power transforms its log-scaled coefficients (see
+    ``spectral._powered_blocks``) and adds the scale back in log space, so
+    any power is admitted.
     """
     x, xi = _checked_axes(series, grid)
     smap = _StftAxisMap(series, grid)
+    radial = _radial_sq(x, xi, series.dimension)
+    log_weights = [params.weight.log_on(radial) for params in params_list]
     out = np.empty((len(params_list), len(powers)))
     for j, (top, block) in enumerate(_powered_blocks(series, powers)):
-        fld = StftField(series.dimension, smap.field(block), x, xi, grid)
-        for i, params in enumerate(params_list):
-            out[i, j] = top + modulation_norm(fld, params)
+        with np.errstate(divide="ignore"):
+            log_abs = np.log(np.abs(smap.field(block)))
+        for i, (params, log_w) in enumerate(zip(params_list, log_weights)):
+            out[i, j] = top + _mixed_log_norm(log_abs + log_w, params, grid)
     return out
 
 
 def norm_sequence_mod(series: HermiteSeries, n_max: int, params: MixedNormParams, *,
                       grid: StftGrid | None = None, n_min: int = 0) -> NormSequence:
-    """Modulation norms of H^N f for N = n_min..n_max, d <= 2.
+    """Modulation norms of H^N f for N = n_min..n_max.
 
-    One closed-form STFT basis per sequence; each power costs one
-    contraction with it, and large N cannot overflow.
+    (2,2) is the l2 route with log m_k(w) added per shell, in any dimension
+    (constant weight gives the l2 rows bit for bit).  The other (p, q), and
+    1/vN where ``Weight.log_moments`` is uncertified, take ``grid`` (d <= 2):
+    one contraction with its closed-form basis per power.
     """
     powers = _power_range(n_min, n_max)
-    grid = grid or StftGrid.default_for(series)
-    logs = _mod_log_norms(series, powers, [params], grid)[0]
+    log_m = (params.weight.log_moments(series.max_degree, series.dimension)
+             if params.p == params.q == 2 else None)
+    if log_m is not None:
+        logs = _l2_log_norms_powered(series, np.array(powers), log_m)
+    else:
+        logs = _mod_log_norms(series, powers, [params], grid or StftGrid.default_for(series))[0]
     return NormSequence(series.dimension, series.max_degree, params.label(), powers, logs)
 
 

@@ -147,13 +147,17 @@ def _logsumexp(a, axis=None):
     return np.squeeze(out, axis=axis)[()]
 
 
-def _l2_log_norms_powered(series: HermiteSeries, powers: np.ndarray) -> np.ndarray:
-    """log ||H^N f||_{L2} for each N in ``powers``, without float round trips."""
-    logs, eigs, _ = _log_coeff_arrays(series)
+def _l2_log_norms_powered(series: HermiteSeries, powers: np.ndarray,
+                          shell_log_weights: np.ndarray | None = None) -> np.ndarray:
+    """log ||H^N f||_{L2} for each N in ``powers``, without float round trips;
+    ``shell_log_weights[|alpha|]`` is added to each squared term if given."""
+    logs, eigs, nonzero = _log_coeff_arrays(series)
     if logs.size == 0:
         return np.full(powers.shape, -math.inf)
     # (nN, ncoef): 2 log|c| + 2N log(2|alpha|+d)
     mat = 2.0 * logs[None, :] + 2.0 * np.asarray(powers, dtype=float)[:, None] * eigs[None, :]
+    if shell_log_weights is not None:
+        mat += shell_log_weights[series.indices.sum(axis=1)[nonzero]]
     return 0.5 * _logsumexp(mat, axis=1)
 
 

@@ -7,7 +7,9 @@ test-local recurrence or from mpmath.  ``recurrence_reference`` is the
 exception: a frozen copy of the unbuffered, ungated form of
 ``hgl.hermite._recurrence``, against which the library kernel is checked
 bit for bit.  ``quadrature_stft_basis`` is the quadrature STFT that the
-closed-form (Bargmann) basis of ``hgl.modulation`` replaced.
+closed-form (Bargmann) basis of ``hgl.modulation`` replaced.  The weighted
+(2,2) modulation norms are checked against mpmath integrals of the Gamma
+moments and, separately, of the radial integrals themselves.
 """
 
 import math
@@ -142,3 +144,61 @@ def bargmann_mp(k: int, x, xi):
     zbar = mpmath.mpc(x, -xi) / mpmath.sqrt(2)
     return (mpmath.exp(-0.5j * x * xi - abs(zbar) ** 2 / 2) * zbar**k
             / mpmath.sqrt(mpmath.factorial(k)))
+
+
+def gamma_weight_moment_mp(a: int, sign: int, N: int) -> float:
+    """log E[(1 + 2T)^(2 sign N)] for T ~ Gamma(a), by mpmath quadrature of
+    the density; sign 0 integrates the density alone.
+
+    The integrand is scaled by its weight at the mode, so that the result is
+    of order one: mpmath's quadrature stops at an absolute error near
+    10^-dps, which a moment of size 1e-30 would drown in.
+    """
+    import mpmath
+    with mpmath.workdps(20):
+        a_mp = mpmath.mpf(a)
+        log_gamma = mpmath.loggamma(a_mp)
+        scale = 1 + 2 * a_mp
+        m = 2 * sign * N
+
+        def density(t):
+            return mpmath.exp((a_mp - 1) * mpmath.log(t) - t - log_gamma) * ((1 + 2 * t) / scale) ** m
+
+        spread = 8 * mpmath.sqrt(a_mp)
+        cuts = sorted({mpmath.mpf(0), *(c for c in (a_mp - spread, a_mp, a_mp + spread) if c > 0),
+                       mpmath.inf})
+        return float(mpmath.log(mpmath.quad(density, cuts, method="gauss-legendre"))
+                     + m * mpmath.log(scale))
+
+
+def hermite_mod_sq_mp(alpha, sign: int, N: int) -> float:
+    """log ||w V h_alpha||^2 for the weight w = (1 + |x|^2 + |xi|^2)^(sign N),
+    by the d-fold radial integral in mpmath.
+
+    In polar coordinates per axis (x_i + i xi_i = sqrt(2) r_i e^{i theta_i})
+    the transform has modulus prod r_i^alpha_i e^{-r_i^2/2} / sqrt(alpha_i!),
+    and the angles integrate out against dx dxi / (2 pi)^d, leaving
+
+        integral over r in (0, inf)^d of w(2|r|^2)^2 prod 2 r_i^(2 alpha_i + 1) e^{-r_i^2} / alpha_i!
+
+    taken here by a 48-point Gauss-Legendre product rule on [0, sqrt(alpha_i
+    + 1/2) + 7] per axis: the integrand peaks near r_i^2 = alpha_i + 1/2 and
+    decays like a Gaussian beyond.
+    """
+    import itertools
+    import mpmath
+    from mpmath.calculus.quadrature import GaussLegendre
+    with mpmath.workdps(20):
+        nodes = GaussLegendre(mpmath.mp).calc_nodes(5, mpmath.mp.prec)
+        scale = 1 + 2 * (sum(alpha) + len(alpha))
+        axes = []
+        for k in alpha:
+            half = (mpmath.sqrt(k + 0.5) + 7) / 2
+            axes.append([(r * r, half * w * 2 * r ** (2 * k + 1) * mpmath.exp(-r * r)
+                          / mpmath.factorial(k))
+                         for r, w in ((half * (x + 1), w) for x, w in nodes)])
+        total = mpmath.mpf(0)
+        for point in itertools.product(*axes):
+            r_sq = mpmath.fsum(t for t, _ in point)
+            total += mpmath.fprod(w for _, w in point) * ((1 + 2 * r_sq) / scale) ** (2 * sign * N)
+        return float(mpmath.log(total) + 2 * sign * N * mpmath.log(scale))

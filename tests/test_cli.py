@@ -504,7 +504,12 @@ CONTRACT = [
     ("norms --preset synthetic_flat:1,1,80 --norm linf --n-max 200", 0),
     ("norms --preset synthetic_flat:1,1,80 --norm lp:3 --n-max 200", 0),
     ("norms --preset synthetic_flat:1,1,12 --norm mod:2,2,const --n-max 200", 0),
-    ("norms --preset gaussian:1.0 --dim 2 --norm mod:2,2,const", 2),
+    ("norms --preset gaussian:1.0 --dim 2 --norm mod:2,2,const", 0),
+    ("norms --preset gaussian:1.0 --dim 2 --norm mod:1,1,const", 2,
+     "error: field would hold 70274689 entries; in d >= 2 only mod:2,2 norms run "
+     "(weight const, vN, or 1/vN with N <= 5)"),
+    ("norms --preset gaussian:1.0 --dim 3 --max-degree 6 --norm mod:2,2,v1", 0),
+    ("norms --preset synthetic_flat:1,1,12 --norm mod:2,2,1/v1 --n-max 200", 0),
     ("norms --preset finite_random:20,7 --n-max 10 --format json", 0),
     ("norms --input {zero} --n-max 3", 0),
     ("norms --input {repeated} --norm l2 --n-max 3", 2),

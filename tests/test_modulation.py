@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from hgl import (HermiteSeries, MixedNormParams, StftGrid, StftGridError, Weight,
-                 apply_H, l2_norm, modulation_norm, norm_equiv_harness,
-                 norm_sequence_mod, stft, synthetic_flat)
-from hgl.modulation import _bargmann_basis
+from hgl import (HermiteSeries, MixedNormParams, Preset, StftGrid, StftGridError, Weight,
+                 apply_H, build_preset, l2_norm, modulation_norm, norm_equiv_harness,
+                 norm_sequence, norm_sequence_mod, stft, synthetic_flat)
+from hgl.modulation import _bargmann_basis, _mod_log_norms
 
-from oracles import bargmann_mp, quadrature_stft_basis
+from oracles import (bargmann_mp, gamma_weight_moment_mp, hermite_mod_sq_mp,
+                     quadrature_stft_basis)
 
 
 @pytest.fixture(scope="module")
@@ -228,6 +229,94 @@ def test_norm_sequence_mod_matches_direct():
     seq = norm_sequence_mod(s, 4, MixedNormParams(2, 2, Weight()))
     assert seq.norm_kind == "mod:2,2,const"
     assert seq.max_degree == 10
-    direct = l2_norm(apply_H(s, 4))
-    assert seq.log_norms()[-1] == pytest.approx(direct, abs=0.02)
+    assert seq.log_norms()[-1] == norm_sequence(s, 4, "l2").log_norms()[-1]
+    assert seq.log_norms()[-1] == pytest.approx(l2_norm(apply_H(s, 4)), abs=1e-12)
+
+
+WEIGHTS = ("const", "v1", "v2", "1/v1", "1/v2")
+SHAPES = (1, 2, 3, 5, 10, 31, 41, 100, 250, 500)
+
+
+def _sign_and_order(weight: Weight):
+    return {"constant": 0, "polynomial": 1, "reciprocal": -1}[weight.kind], weight.N
+
+
+class TestClosedFormTwoTwo:
+    """(2,2) norms from the shell energies: sum_k (2k+d)^2N S_k m_k(w)."""
+
+    @pytest.mark.parametrize("kind", ["constant", "polynomial", "reciprocal"])
+    def test_log_moments_match_mpmath(self, kind):
+        pytest.importorskip("mpmath")
+        for N in ([0] if kind == "constant" else range(1, 6)):
+            weight = Weight(kind, N)
+            sign = _sign_and_order(weight)[0]
+            # the moments depend on the shape a = k + d alone
+            by_d = {d: weight.log_moments(500 - d, d) for d in (1, 2, 3)}
+            for a in SHAPES:
+                want = gamma_weight_moment_mp(a, sign, N)
+                for d, logs in by_d.items():
+                    if a >= d:
+                        assert logs[a - d] == pytest.approx(want, rel=0, abs=1e-12), (N, a, d)
+
+    def test_reciprocal_moments_refuse_the_uncertified_range(self):
+        assert Weight("reciprocal", 5).log_moments(498, 2) is not None
+        assert Weight("reciprocal", 5).log_moments(499, 2) is None
+        assert Weight("reciprocal", 6).log_moments(3, 1) is None
+        assert Weight("polynomial", 9).log_moments(900, 3) is not None
+
+    def test_uncertified_reciprocal_takes_the_grid(self):
+        s = synthetic_flat(1.0, 1.0, 8)
+        params = MixedNormParams(2, 2, Weight("reciprocal", 6))
+        grid = StftGrid.default_for(s)
+        got = norm_sequence_mod(s, 5, params).logs
+        assert np.array_equal(got, _mod_log_norms(s, range(6), [params], grid)[0])
+
+    @pytest.mark.parametrize("alpha", [(0,), (3,), (12,), (0, 0), (2, 1), (3, 0)])
+    def test_single_hermite_matches_radial_mpmath(self, alpha):
+        pytest.importorskip("mpmath")
+        d, k = len(alpha), sum(alpha)
+        h = HermiteSeries(dimension=d, max_degree=k, coefficients={alpha: 1.0})
+        for text in WEIGHTS:
+            params = MixedNormParams.parse(f"mod:2,2,{text}")
+            got = norm_sequence_mod(h, 3, params).logs
+            log_sq = hermite_mod_sq_mp(alpha, *_sign_and_order(params.weight))
+            want = [N * math.log(2 * k + d) + 0.5 * log_sq for N in range(4)]
+            assert got == pytest.approx(want, rel=0, abs=1e-12), text
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_const_rows_are_l2_rows(self, d):
+        for spec in ("gaussian:1.3", "finite_random:6,5", "synthetic_flat:1,1,6"):
+            s = build_preset(Preset.parse(spec), dimension=d, max_degree=6)
+            got = norm_sequence_mod(s, 30, MixedNormParams(2, 2, Weight())).logs
+            assert np.array_equal(got, norm_sequence(s, 30, "l2").logs), spec
+
+    @pytest.mark.parametrize("spec", ["synthetic_flat:1,1,40", "gaussian:2.0",
+                                      "finite_random:12,3"])
+    def test_matches_the_default_grid_in_one_dimension(self, spec):
+        s = build_preset(Preset.parse(spec), dimension=1, max_degree=20)
+        grid = StftGrid.default_for(s)
+        for text in WEIGHTS:
+            params = MixedNormParams.parse(f"mod:2,2,{text}")
+            got = norm_sequence_mod(s, 12, params).logs
+            if text == "1/v2":
+                # the trapezoid rule errs like exp(-2 pi / step) near the weight's
+                # double poles at distance 1 from the real axes: up to 5e-8 at the
+                # default step, far below 1e-9 at half of it
+                grid_text = StftGrid.default_for(s, step=0.125)
+            else:
+                grid_text = grid
+            on_grid = _mod_log_norms(s, range(13), [params], grid_text)[0]
+            assert np.max(np.abs(got - on_grid)) <= 1e-9, text
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_zero_series_is_minus_inf(self, d):
+        z = HermiteSeries(dimension=d, max_degree=4, coefficients={})
+        for text in WEIGHTS:
+            logs = norm_sequence_mod(z, 3, MixedNormParams.parse(f"mod:2,2,{text}")).logs
+            assert np.all(logs == -math.inf), text
+
+    def test_two_dimensions_without_a_grid(self):
+        s = HermiteSeries(dimension=2, max_degree=0, coefficients={(0, 0): 1.0})
+        seq = norm_sequence_mod(s, 40, MixedNormParams(2, 2, Weight()))
+        assert seq.logs[-1] == 27.725887222397812      # 40 log 2, the l2 row
 
