@@ -266,7 +266,7 @@ def _checked_axes(series: HermiteSeries, grid: StftGrid):
     if (x.size * xi.size) ** d > _MAX_FIELD_ENTRIES:
         raise StftGridError(
             f"field would hold {(x.size * xi.size) ** d} entries; in d >= 2 only "
-            f"mod:2,2 norms run (weight const, vN, or 1/vN with N <= 5)")
+            f"mod:2,2 norms run (weight const, vN, or 1/vN with N <= {_RECIPROCAL_MAX_N})")
     return x, xi
 
 
@@ -287,26 +287,24 @@ def stft(series: HermiteSeries, grid: StftGrid | None = None) -> StftField:
     return StftField(series.dimension, smap.field(series.dense()), x, xi, grid)
 
 
-def modulation_norm(fld: StftField, params: MixedNormParams) -> float:
+def modulation_norm(fld: StftField, params: MixedNormParams, *,
+                    log_weight: np.ndarray | None = None) -> float:
     """log of the discrete weighted mixed norm of an STFT field, -inf for zero.
 
     Inner ell^p over the spatial axes, outer ell^q over the frequency axes;
-    p or q = inf take sups.  Computed in the log domain.
+    p or q = inf take sups.  Computed in the log domain.  ``log_weight`` is
+    ``params.weight.log_on`` over the field's grid, for a caller that reuses it.
     """
+    d = fld.dimension
+    if log_weight is None:
+        log_weight = params.weight.log_on(_radial_sq(fld.x_axis, fld.xi_axis, d))
     with np.errstate(divide="ignore"):
-        log_f = (np.log(np.abs(fld.values))
-                 + params.weight.log_on(_radial_sq(fld.x_axis, fld.xi_axis, fld.dimension)))
-    return _mixed_log_norm(log_f, params, fld.grid)
-
-
-def _mixed_log_norm(log_f: np.ndarray, params: MixedNormParams, grid: StftGrid) -> float:
-    """``modulation_norm`` of the weighted log modulus log|V| + log w."""
-    d = log_f.ndim // 2
+        log_f = np.log(np.abs(fld.values)) + log_weight
     if not np.any(np.isfinite(log_f)):
         return -math.inf
     x_axes = tuple(range(d))
-    log_dx = d * math.log(grid.spatial_step)
-    log_dxi = d * (math.log(grid.freq_step) - math.log(2.0 * math.pi))
+    log_dx = d * math.log(fld.grid.spatial_step)
+    log_dxi = d * (math.log(fld.grid.freq_step) - math.log(2.0 * math.pi))
     if params.p == math.inf:
         inner = np.max(log_f, axis=x_axes)
     else:
@@ -335,10 +333,9 @@ def _mod_log_norms(series: HermiteSeries, powers, params_list, grid: StftGrid) -
     log_weights = [params.weight.log_on(radial) for params in params_list]
     out = np.empty((len(params_list), len(powers)))
     for j, (top, block) in enumerate(_powered_blocks(series, powers)):
-        with np.errstate(divide="ignore"):
-            log_abs = np.log(np.abs(smap.field(block)))
+        fld = StftField(series.dimension, smap.field(block), x, xi, grid)
         for i, (params, log_w) in enumerate(zip(params_list, log_weights)):
-            out[i, j] = top + _mixed_log_norm(log_abs + log_w, params, grid)
+            out[i, j] = top + modulation_norm(fld, params, log_weight=log_w)
     return out
 
 
